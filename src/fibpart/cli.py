@@ -2,11 +2,13 @@
 
 Single-answer queries print JSON, range queries print CSV, words use the
 a/b*c/d grammar.  Exit codes: 0 success, 1 domain error (the message goes
-to stderr), 2 usage error.
+to stderr), 2 usage error; output cut short by a closed pipe ends quietly
+with 1.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import chi_analysis, contfrac, counting, enumeration, fibcore, oracle, orbits
@@ -249,16 +251,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # arguments and answers are exact integers of any length: lift
+    # Python's int<->str digit limit, where it has one, for this call
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old_limit = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print("usage error: %s" % (exc,), file=sys.stderr)
         return 2
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): stop quietly, and point
+        # stdout at devnull so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd
 
 from .contfrac import cf_expand, word_of
-from .counting import count_F
 from .fibcore import fib
 from .orbits import is_essential, is_f_prime, theta
 
@@ -207,7 +206,43 @@ def is_primitive(k: int) -> bool:
 
 def stability_count(r: int, k: int) -> int:
     """How many n in [f_r, f_{r+1}) have partition count k.  Stabilizes at
-    1 for k == 1 and 2*psi(k) otherwise once r >= 2k."""
+    1 for k == 1 and 2*psi(k) otherwise once r >= 2k.
+
+    A DP over the Zeckendorf indices 1..r of n, index r being a 1.  With C
+    the product of the closed blocks' continuants times the open block's
+    current one, and P the same product with the open block's previous
+    continuant, a 1 after a gap g has entry a = g//2 + 1 and moves (P, C)
+    to (C, a*C) when g is odd (a new block starts) and to (C, a*C - P)
+    when g is even.  Continuants never decrease along a block, so C never
+    decreases, and a state is dropped as soon as C, or the least C the
+    next 1 can give, exceeds k.
+    """
     if r < 1 or k < 1:
         raise ValueError("need r >= 1 and k >= 1")
-    return sum(1 for n in range(fib(r), fib(r + 1)) if count_F(n) == k)
+    # (d, P, C) -> number of digit strings; d digits since the last 1, or
+    # since the start while P == 0 (no 1 yet, C == 1)
+    states = {(0, 0, 1): 1}
+
+    def place_one(d, P, C):
+        if P == 0:                 # first index i = d + 1: entry (i-1)//2 + 1
+            return 1, d // 2 + 1
+        g = d + 1
+        a = g // 2 + 1
+        return C, a * C if g % 2 else a * C - P
+
+    for _ in range(r - 1):
+        nxt = {}
+        for (d, P, C), cnt in states.items():
+            # a 0: the next 1 comes after a gap >= d + 2, so C reaches at least
+            least = (d + 1) // 2 + 1 if P == 0 else C * ((d + 2) // 2)
+            if least <= k:
+                key = (d + 1, P, C)
+                nxt[key] = nxt.get(key, 0) + cnt
+            if d or P == 0:
+                P1, C1 = place_one(d, P, C)
+                if C1 <= k:
+                    key = (0, P1, C1)
+                    nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    return sum(cnt for (d, P, C), cnt in states.items()
+               if (d or P == 0) and place_one(d, P, C)[1] == k)

@@ -9,17 +9,23 @@ A 2-partition is a strictly increasing tuple of indices >= 1 whose
 consecutive gaps are >= 2.  The empty tuple is the 2-partition of 0.
 """
 
+import threading
 from bisect import bisect_right
 
-# _FIB[i] == f_i; grown on demand, never truncated.
+# _FIB[i] == f_i; grown on demand, never truncated.  Reads take no lock;
+# growth does, because a read-then-append racing another thread's append
+# would store a stale sum.
 _FIB = [1, 1, 2]
+_FIB_GROW = threading.Lock()
 
 
 def _fib_upto(n):
     """Extend the table until it covers value n and return it."""
     fib = _FIB
-    while fib[-1] <= n:
-        fib.append(fib[-1] + fib[-2])
+    if fib[-1] <= n:
+        with _FIB_GROW:
+            while fib[-1] <= n:
+                fib.append(fib[-1] + fib[-2])
     return fib
 
 
@@ -28,8 +34,10 @@ def fib(i: int) -> int:
     if i < 0:
         raise ValueError("Fibonacci index must be nonnegative, got %r" % (i,))
     fib = _FIB
-    while len(fib) <= i:
-        fib.append(fib[-1] + fib[-2])
+    if len(fib) <= i:
+        with _FIB_GROW:
+            while len(fib) <= i:
+                fib.append(fib[-1] + fib[-2])
     return fib[i]
 
 

@@ -1,5 +1,9 @@
+import time
+from itertools import accumulate
+
 import pytest
 
+from fibpart import oracle
 from fibpart.chi_analysis import (computed_hull_points, count_zero_chi,
                                   h_rec, hull_points, nonzero_runs,
                                   upper_hull, x_sum, zero_runs)
@@ -157,3 +161,34 @@ def test_hull_points_self_consistent():
             assert y == count_F(x)
     with pytest.raises(ValueError):
         hull_points(6)
+
+
+def test_count_zero_chi_matches_product_expansion():
+    top = fib(26) + 1
+    # zeros[N]: how many n in [1, N] have a zero coefficient; n = 0 has 1
+    zeros = list(accumulate(int(c == 0) for c in oracle.product_chi(top)))
+    checked = set(range(3001)) | set(range(0, top + 1, 997))
+    checked |= {fib(r) + e for r in range(1, 27) for e in (-1, 0, 1)}
+    for N in sorted(checked):
+        assert count_zero_chi(N) == zeros[N], N
+
+
+def test_count_zero_chi_matches_recurrence_past_1000_bits():
+    for r in range(201):
+        assert count_zero_chi(fib(r) - 1) == h_rec(r), r
+    r = 1
+    while fib(r) < 2 ** 1000:
+        r += 1
+    N = fib(r) - 1
+    assert x_sum(N) == N - h_rec(r)
+
+
+def test_x_sum_pinned_values_are_fast():
+    for N, want, budget in ((196418, 46300, 0.01), (196417, 46299, 0.01),
+                            (2 ** 1000 - 1, None, 1.0)):
+        t0 = time.perf_counter()
+        got = x_sum(N)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < budget, (N, elapsed)
+        if want is not None:
+            assert got == want

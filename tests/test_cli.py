@@ -1,8 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import pytest
 
+import fibpart
+from fibpart.chi_analysis import h_rec
 from fibpart.cli import main
+from fibpart.contfrac import parse_word
+from fibpart.counting import chi
+from fibpart.fibcore import fib
+from fibpart.orbits import theta
 
 RECORD_KEYS = {"n", "zeckendorf", "word", "F", "chi", "essential"}
 
@@ -173,3 +183,82 @@ def test_closed_form_paths_ignore_the_cap(capsys):
     assert rec["n"] == n and rec["F"] >= 1
     code, out, _ = run(capsys, "theta", "13/89")
     assert code == 0 and int(out) > 0
+
+
+# ---------------------------------------------------------------------------
+# the CLI as its own process
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(fibpart.__file__)))
+
+
+def _argv(*args):
+    return [sys.executable, "-m", "fibpart.cli", *args]
+
+
+def _env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+
+
+def run_process(*args, timeout=60):
+    return subprocess.run(_argv(*args), capture_output=True, text=True,
+                          timeout=timeout, env=_env())
+
+
+@contextmanager
+def _no_digit_limit():
+    get = getattr(sys, "get_int_max_str_digits", None)
+    old = get() if get else None
+    if get:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if get:
+            sys.set_int_max_str_digits(old)
+
+
+def test_zeros_answers_at_40_bits():
+    proc = run_process("zeros", str(10 ** 12), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["N"] == 10 ** 12 and rec["zeros"] + rec["X"] == 10 ** 12
+    N = fib(58) - 1
+    proc = run_process("zeros", str(N), timeout=5)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["zeros"] == h_rec(58)
+
+
+def test_closed_pipe_exits_quietly():
+    # about 160 kB of output, more than a pipe holds, so the writer meets
+    # the closed end
+    proc = subprocess.Popen(_argv("poly", str(3 ** 1000)), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env())
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    assert head.startswith(b"[0, 0")
+    assert b"Traceback" not in err and not err
+
+
+def test_integers_past_4300_digits():
+    n = fib(24000) - 1             # 5016 digits; chi is +-1 on f_r - 1
+    word = "*".join(["1/89"] * 150)
+    with _no_digit_limit():
+        arg = str(n)
+        proc = run_process("chi", arg)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == chi(n) != 0
+        proc = run_process("theta", word)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.strip()) > 4300
+        assert int(proc.stdout) == theta(parse_word(word))
+
+
+def test_main_restores_the_digit_limit(capsys):
+    get = getattr(sys, "get_int_max_str_digits", None)
+    before = get() if get else None
+    assert main(["chi", "100"]) == 0
+    assert (get() if get else None) == before
+    assert capsys.readouterr().out.strip() == "-1"

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -222,3 +223,17 @@ def test_stability_settles_at_twice_psi():
             assert stability_count(r, k) == 2 * psi(k), (r, k)
     for r in range(2, 13):
         assert stability_count(r, 1) == 1
+
+
+def test_stability_count_matches_scan():
+    for r in range(1, 21):
+        # the count_F scan over [f_r, f_{r+1}) that the DP replaced
+        scan = Counter(count_F(n) for n in range(fib(r), fib(r + 1)))
+        for k in range(1, 13):
+            assert stability_count(r, k) == scan[k], (r, k)
+
+
+def test_stability_count_at_r_equal_2k():
+    assert stability_count(2, 1) == 1
+    for k in range(2, 31):
+        assert stability_count(2 * k, k) == 2 * psi(k), k
