@@ -12,13 +12,13 @@ from .chi_analysis import (RunReport, computed_hull_points, count_zero_chi,
 from .contfrac import (cf_expand, delta, eval_cf, format_word, parse_word,
                        word_of)
 from .counting import (assoc_multivector, assoc_vector, canonical_form, chi,
-                       chi_via_poly, chi_via_reduction, continuant, count_F,
-                       count_Fh, fib_poly, multivector_of, poly_D, poly_eval)
-from .enumeration import (EssentialClass, bell, cmp_triangle, circle,
-                          commutative_normal_form, commutative_words,
-                          euler_phi, is_primitive, list_essential,
-                          max_essential, minimal_essential, ordered_bell,
-                          psi, psi_sigma, stability_count, words_with_delta)
+                       continuant, count_F, count_Fh, decompose, fib_poly,
+                       poly_D, poly_eval)
+from .enumeration import (bell, cmp_triangle, circle, commutative_normal_form,
+                          commutative_words, euler_phi, is_primitive,
+                          list_essential, max_essential, minimal_essential,
+                          ordered_bell, psi, psi_sigma, stability_count,
+                          words_with_delta)
 from .fibcore import (content, fib, is_two_partition, mu_first, mu_last,
                       shift_sigma, zeckendorf)
 from .orbits import (act_S, act_omega, act_tau, epsilon, essential_from_m,

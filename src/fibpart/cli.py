@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import chi_analysis, contfrac, counting, enumeration, fibcore, oracle, orbits
+from . import chi_analysis, contfrac, counting, enumeration, oracle, orbits
 
 _GENERATORS = {
     "omega": orbits.act_omega, "w": orbits.act_omega, "ω": orbits.act_omega,
@@ -35,18 +35,28 @@ def _check_scan_size(value: int, token: str, limit_bits: int):
             % (token, value, limit_bits))
 
 
+def _check_fib_index(r: int, limit_bits: int):
+    """Refuse R when f_{R+1} is wider than the cap, without building it."""
+    a, b = 1, 1                    # f_{i-1}, f_i
+    for _ in range(r):
+        a, b = b, a + b
+        if b.bit_length() > limit_bits:
+            raise UsageError("R=%d: f_(R+1) is wider than the --limit-bits cap of %d bits"
+                             % (r, limit_bits))
+
+
 def _record(n: int, with_poly: bool) -> dict:
-    word = contfrac.word_of(n)
+    indices, blocks = counting.decompose(n)
     rec = {
         "n": n,
-        "zeckendorf": list(fibcore.zeckendorf(n)),
-        "word": contfrac.format_word(word),
-        "F": counting.count_F(n),
-        "chi": counting.chi(n),
-        "essential": orbits.is_essential(n),
+        "zeckendorf": list(indices),
+        "word": contfrac.format_word(contfrac._word_of(blocks)),
+        "F": counting._count_of(blocks),
+        "chi": counting._chi_of(blocks),
+        "essential": orbits._is_essential(indices),
     }
     if with_poly:
-        rec["poly"] = counting.fib_poly(n)
+        rec["poly"] = counting._poly_of(blocks)
     return rec
 
 
@@ -111,7 +121,7 @@ def _cmd_psi_sigma(args):
 
 
 def _cmd_enumerate(args):
-    print(" ".join(str(n) for n in enumeration.list_essential(args.k).members))
+    print(" ".join(str(n) for n in enumeration.list_essential(args.k)))
     return 0
 
 
@@ -122,13 +132,12 @@ def _cmd_minimal(args):
 
 
 def _cmd_stability(args):
-    _check_scan_size(fibcore.fib(args.r + 1), "R", args.limit_bits)
+    _check_fib_index(args.r, args.limit_bits)
     print(enumeration.stability_count(args.r, args.k))
     return 0
 
 
 def _cmd_zeros(args):
-    _check_scan_size(args.n, "N", args.limit_bits)
     zeros = chi_analysis.count_zero_chi(args.n)
     _emit({"N": args.n, "zeros": zeros, "X": args.n - zeros})
     return 0
@@ -149,7 +158,7 @@ def _cmd_runs(args):
 
 
 def _cmd_hull(args):
-    _check_scan_size(fibcore.fib(args.r + 1), "R", args.limit_bits)
+    _check_fib_index(args.r, args.limit_bits)
     pred = chi_analysis.hull_points(args.r)
     comp = chi_analysis.computed_hull_points(args.r)
     _emit({"r": args.r,

@@ -13,8 +13,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .counting import assoc_multivector, continuant
-from .fibcore import zeckendorf
+from .counting import continuant, decompose
 
 
 def _check_vector_a1(A):
@@ -52,6 +51,15 @@ def cf_expand(g) -> tuple:
     return tuple(out)
 
 
+def _word_of(blocks) -> tuple:
+    letters = [Fraction(continuant(A[1:]), continuant(A)) for A in blocks]
+    if letters:
+        letters[0] %= 1
+        if not letters[0]:
+            del letters[0]
+    return tuple(letters)
+
+
 def word_of(n: int) -> tuple:
     """The word of n: fraction values of its multivector components.
 
@@ -59,17 +67,7 @@ def word_of(n: int) -> tuple:
     fractional part counts, and a whole-number first value contributes no
     letter at all.  word_of(0) is the empty word.
     """
-    blocks = assoc_multivector(zeckendorf(n))
-    if not blocks:
-        return ()
-    letters = []
-    head = blocks[0]
-    num, den = continuant(head[1:]), continuant(head)
-    if den > 1:
-        letters.append(Fraction(num % den, den))
-    for A in blocks[1:]:
-        letters.append(Fraction(continuant(A[1:]), continuant(A)))
-    return tuple(letters)
+    return _word_of(decompose(n)[1])
 
 
 def delta(word) -> int:

@@ -10,7 +10,10 @@ Polynomials are plain dense coefficient lists: index = degree, trailing
 zeros trimmed, the zero polynomial is [].  All arithmetic is exact.
 """
 
-from .fibcore import zeckendorf
+from functools import reduce
+from math import prod
+
+from .fibcore import _check_two_partition, zeckendorf
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -40,76 +43,61 @@ def poly_eval(coeffs, x):
     return v
 
 
-def phi_poly(alpha: int) -> list:
-    """t + t^2 + ... + t^alpha."""
-    if alpha < 1:
-        raise ValueError("phi_poly needs alpha >= 1, got %r" % (alpha,))
-    return [0] + [1] * alpha
-
-
 # ---------------------------------------------------------------------------
 # canonical decomposition of a 2-partition
 
-def _check_two_partition(I):
-    prev = None
+def _blocks(I) -> tuple:
+    """Gap vectors of the simple components of a 2-partition, in one walk:
+    each index i after prev gives (i - prev)//2 + 1, the first one taking
+    prev = 1, and an odd gap starts a new component.  I is not validated."""
+    blocks, prev = [], 1
     for i in I:
-        if i < 1:
-            raise ValueError("partition indices must be >= 1, got %r" % (i,))
-        if prev is not None and i - prev < 2:
-            raise ValueError("not a 2-partition: gap %d -> %d is < 2" % (prev, i))
+        g = i - prev
+        if g & 1 or not blocks:
+            cur = []
+            blocks.append(cur)
+        cur.append(g // 2 + 1)
         prev = i
+    return tuple(map(tuple, blocks))
+
+
+def decompose(n: int) -> tuple:
+    """(indices, blocks): the Zeckendorf indices of n and its associated
+    multivector, one gap vector per simple component.  Every per-n
+    quantity is computed from this one pass; decompose(0) == ((), ())."""
+    I = zeckendorf(n)
+    return I, _blocks(I)
 
 
 def canonical_form(I) -> list:
-    """Split a 2-partition into its simple components.
-
-    A simple component is a maximal run of indices of one parity; runs are
-    separated by odd (hence >= 3) gaps.  Raises on the empty partition,
-    which has no canonical form; callers treat 0 specially.
+    """Split a 2-partition into its simple components: maximal runs of
+    indices of one parity, separated by odd (hence >= 3) gaps.  Raises on
+    the empty partition.  The definition the tests check decompose against.
     """
     if not I:
         raise ValueError("the empty partition has no canonical form")
     _check_two_partition(I)
-    blocks = []
-    cur = [I[0]]
-    for i in I[1:]:
-        if (i - cur[-1]) % 2 == 0:
-            cur.append(i)
-        else:
-            blocks.append(tuple(cur))
-            cur = [i]
-    blocks.append(tuple(cur))
-    return blocks
+    blocks = [[I[0]]]
+    for prev, i in zip(I, I[1:]):
+        if (i - prev) % 2:
+            blocks.append([])
+        blocks[-1].append(i)
+    return [tuple(b) for b in blocks]
 
 
 def assoc_vector(I) -> tuple:
-    """Gap vector of a 2-partition: ((i_1-1)//2 + 1, then gap//2 + 1 each)."""
+    """Gap vector of a 2-partition: ((i_1-1)//2 + 1, then gap//2 + 1 each);
+    the definition the tests check decompose against."""
     if not I:
         raise ValueError("the empty partition has no associated vector")
     _check_two_partition(I)
-    out = [(I[0] - 1) // 2 + 1]
-    for prev, i in zip(I, I[1:]):
-        out.append((i - prev) // 2 + 1)
-    return tuple(out)
+    return ((I[0] - 1) // 2 + 1,) + tuple((i - prev) // 2 + 1 for prev, i in zip(I, I[1:]))
 
 
 def assoc_multivector(I) -> tuple:
     """Associated vector sliced along the simple-component boundaries."""
-    if not I:
-        return ()
-    alphas = assoc_vector(I)
-    sizes = [len(b) for b in canonical_form(I)]
-    out = []
-    pos = 0
-    for s in sizes:
-        out.append(alphas[pos:pos + s])
-        pos += s
-    return tuple(out)
-
-
-def multivector_of(n: int) -> tuple:
-    """Associated multivector of the Zeckendorf partition of n."""
-    return assoc_multivector(zeckendorf(n))
+    _check_two_partition(I)
+    return _blocks(I)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +113,7 @@ def poly_D(A) -> list:
     for r, a in enumerate(A):
         if a < 1:
             raise ValueError("vector entries must be >= 1, got %r" % (a,))
-        cur = poly_mul(phi_poly(a), dm1)
+        cur = poly_mul([0] + [1] * a, dm1)     # t + t^2 + ... + t^a
         if r >= 1:
             shift = a + 1
             need = shift + len(dm2)
@@ -147,21 +135,23 @@ def continuant(A) -> int:
     return dm1
 
 
+def _poly_of(blocks) -> list:
+    return reduce(poly_mul, map(poly_D, blocks), [1])
+
+
 def fib_poly(n: int) -> list:
     """Counting polynomial of n: coefficient of t^h counts the partitions
     of n into h distinct Fibonacci numbers.  fib_poly(0) == [1]."""
-    out = [1]
-    for A in multivector_of(n):
-        out = poly_mul(out, poly_D(A))
-    return out
+    return _poly_of(decompose(n)[1])
+
+
+def _count_of(blocks) -> int:
+    return prod(map(continuant, blocks))
 
 
 def count_F(n: int) -> int:
     """Number of partitions of n into distinct Fibonacci numbers."""
-    out = 1
-    for A in multivector_of(n):
-        out *= continuant(A)
-    return out
+    return _count_of(decompose(n)[1])
 
 
 def count_Fh(n: int, h: int) -> int:
@@ -173,17 +163,11 @@ def count_Fh(n: int, h: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the signed count chi(n) = fib_poly(n) at t = -1, three ways
+# the signed count chi(n) = fib_poly(n) at t = -1
 
-def chi(n: int) -> int:
-    """Signed partition count, always 0 or +-1.
-
-    Product formula over the simple components: a component with vector A
-    contributes 0 when D(A) is even, else +1/-1 by the parity of the
-    shifted continuant D(A[1:]).  Only parities are carried.
-    """
+def _chi_of(blocks) -> int:
     sign = 1
-    for A in multivector_of(n):
+    for A in blocks:
         # p tracks D(A[:r]) mod 2, q tracks D(A[1:r]) mod 2
         p0, p1 = 1, A[0] & 1
         q0, q1 = 0, 1
@@ -198,41 +182,11 @@ def chi(n: int) -> int:
     return sign
 
 
-def chi_via_poly(n: int) -> int:
-    """chi by evaluating the full counting polynomial at t = -1."""
-    return poly_eval(fib_poly(n), -1)
+def chi(n: int) -> int:
+    """Signed partition count, always 0 or +-1.
 
-
-def _d_at_minus1(A) -> int:
-    """D(A) at t = -1 by tail reduction.
-
-    While the vector is longer than 2: an even last entry drops the last
-    two; an odd last entry after an odd one drops the last three; an odd
-    last entry after an even one folds into bumping that entry by 1.
+    Product formula over the simple components: a component with vector A
+    contributes 0 when D(A) is even, else +1/-1 by the parity of the
+    shifted continuant D(A[1:]).  Only parities are carried.
     """
-    A = list(A)
-    while len(A) > 2:
-        if A[-1] % 2 == 0:
-            del A[-2:]
-        elif A[-2] % 2 == 1:
-            del A[-3:]
-        else:
-            A[-2] += 1
-            del A[-1]
-    if not A:
-        return 1
-    if len(A) == 1:
-        return -(A[0] % 2)
-    a1, a2 = A
-    return (a1 % 2) * (a2 % 2) + (1 if a2 % 2 == 0 else -1)
-
-
-def chi_via_reduction(n: int) -> int:
-    """chi by the tail-reduction rules applied per simple component."""
-    sign = 1
-    for A in multivector_of(n):
-        v = _d_at_minus1(A)
-        if v == 0:
-            return 0
-        sign *= v
-    return sign
+    return _chi_of(decompose(n)[1])

@@ -9,11 +9,9 @@ essential k-number.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .contfrac import cf_expand, word_of
 from .fibcore import fib
@@ -37,15 +35,19 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def psi(k: int) -> int:
     """Number of essential k-numbers: Psi(1) = 1 and
-    Psi(k) = sum over divisors r > 1 of Psi(k/r) * phi(r)."""
+    Psi(k) = sum over divisors r > 1 of Psi(k/r) * phi(r), run over the
+    sorted divisors of k (trial division up to sqrt(k))."""
     if k < 1:
         raise ValueError("psi needs k >= 1, got %r" % (k,))
-    if k == 1:
-        return 1
-    return sum(psi(k // r) * euler_phi(r) for r in range(2, k + 1) if k % r == 0)
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    divisors = small + [k // d for d in reversed(small) if d * d != k]
+    phi = {r: euler_phi(r) for r in divisors}
+    table = {1: 1}
+    for i, d in enumerate(divisors[1:], 1):
+        table[d] = sum(table[d // r] * phi[r] for r in divisors[1:i + 1] if d % r == 0)
+    return table[k]
 
 
 def ordered_bell(m: int) -> int:
@@ -87,16 +89,9 @@ def words_with_delta(k: int):
                     yield (head,) + rest
 
 
-@dataclass(frozen=True)
-class EssentialClass:
-    """The sorted essential numbers with a given partition count."""
-    k: int
-    members: tuple
-
-
-def list_essential(k: int) -> EssentialClass:
+def list_essential(k: int) -> tuple:
     """All essential k-numbers, increasing.  Cardinality is psi(k)."""
-    return EssentialClass(k, tuple(sorted(theta(w) for w in words_with_delta(k))))
+    return tuple(sorted(theta(w) for w in words_with_delta(k)))
 
 
 def max_essential(k: int) -> int:

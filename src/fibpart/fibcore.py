@@ -68,29 +68,30 @@ def zeckendorf(n: int) -> tuple:
     return tuple(out)
 
 
-def is_two_partition(indices) -> bool:
-    """True iff indices form a valid 2-partition (gaps >= 2, parts >= 1)."""
+def _check_two_partition(indices):
+    """Raise ValueError, naming the offending index, unless indices form a
+    2-partition."""
     prev = -1
     for i in indices:
-        if i < 1 or (prev >= 0 and i - prev < 2):
-            return False
+        if i < 1:
+            raise ValueError("partition index %r is < 1" % (i,))
+        if i - prev < 2:
+            raise ValueError("partition index %r follows %r: gaps must be >= 2" % (i, prev))
         prev = i
+
+
+def is_two_partition(indices) -> bool:
+    """True iff indices form a valid 2-partition (gaps >= 2, parts >= 1)."""
+    try:
+        _check_two_partition(indices)
+    except ValueError:
+        return False
     return True
 
 
-def _check_strict(indices):
-    prev = 0
-    for i in indices:
-        if i < 1:
-            raise ValueError("partition indices must be >= 1, got %r" % (i,))
-        if i <= prev:
-            raise ValueError("partition indices must be strictly increasing")
-        prev = i
-
-
 def content(indices) -> int:
-    """Sum f_i over a strictly increasing index set."""
-    _check_strict(indices)
+    """Sum f_i over a 2-partition."""
+    _check_two_partition(indices)
     return sum(fib(i) for i in indices)
 
 

@@ -15,7 +15,7 @@ product and correspond one-to-one to words of fractions.
 """
 
 from .contfrac import cf_expand, word_of
-from .fibcore import content, mu_first, mu_last, shift_sigma, zeckendorf
+from .fibcore import content, mu_last, shift_sigma, zeckendorf
 
 
 def act_omega(n: int) -> int:
@@ -121,11 +121,15 @@ def theta(word) -> int:
     return content(epsilon(tuple(cf_expand(g) for g in word)))
 
 
+def _is_essential(I) -> bool:
+    """is_essential on the Zeckendorf indices I of n."""
+    return not I or (I[0] >= 3 and I[0] % 2 == 1)
+
+
 def is_essential(n: int) -> bool:
     """True iff n is the minimum of its orbit: n == 0 or the smallest
     Zeckendorf index of n is odd and >= 3."""
-    m = mu_first(n)
-    return n == 0 or (m >= 3 and m % 2 == 1)
+    return _is_essential(zeckendorf(n))
 
 
 def essential_from_m(m: int) -> int:

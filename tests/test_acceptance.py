@@ -86,7 +86,7 @@ def test_criterion_03_exact_nonzero_count_at_f26(capsys):
 def test_criterion_04_psi_table(capsys):
     table = [1, 1, 2, 3, 4, 6, 6, 9, 10, 12, 10, 22, 12, 18, 24, 27, 16, 38, 18, 44]
     ok1 = [psi(k) for k in range(1, 21)] == table
-    ok2 = all(len(list_essential(k).members) == psi(k) for k in range(1, 31))
+    ok2 = all(len(list_essential(k)) == psi(k) for k in range(1, 31))
     with capsys.disabled():
         ok = _report(4, ok1 and ok2, "table k <= 20, enumeration k <= 30")
     assert ok
@@ -96,7 +96,7 @@ def test_criterion_05_psi_sigma_table(capsys):
     pinned = [1, 1, 2, 3, 4, 4, 6, 7, 9, 8, 10, 12, 12, 12, 16, 18, 16, 19, 18, 24]
     got = [psi_sigma(k) for k in range(1, 21)]
     # a second route: group the essential k-numbers by letter multiset
-    grouped = [len({tuple(sorted(word_of(n))) for n in list_essential(k).members})
+    grouped = [len({tuple(sorted(word_of(n))) for n in list_essential(k)})
                for k in range(1, 21)]
     diffs = ["k=%d: %d (grouped %d) vs pinned %d" % (k, g, e, w)
              for k, (g, e, w) in enumerate(zip(got, grouped, pinned), 1)
@@ -110,8 +110,8 @@ def test_criterion_05_psi_sigma_table(capsys):
 
 
 def test_criterion_06_essential_classes(capsys):
-    ok = (list_essential(5).members == (24, 29, 55, 87)
-          and list_essential(6).members == (37, 42, 45, 50, 144, 231))
+    ok = (list_essential(5) == (24, 29, 55, 87)
+          and list_essential(6) == (37, 42, 45, 50, 144, 231))
     with capsys.disabled():
         ok = _report(6, ok, "classes 5 and 6")
     assert ok

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -7,10 +8,11 @@ from contextlib import contextmanager
 import pytest
 
 import fibpart
-from fibpart.chi_analysis import h_rec
+from fibpart.chi_analysis import count_zero_chi, h_rec
 from fibpart.cli import main
 from fibpart.contfrac import parse_word
 from fibpart.counting import chi
+from fibpart.enumeration import psi
 from fibpart.fibcore import fib
 from fibpart.orbits import theta
 
@@ -167,11 +169,18 @@ def test_usage_error_exits_2(capsys):
 
 def test_limit_bits_cap(capsys):
     big = str(1 << 200)
-    code, _, err = run(capsys, "zeros", big)
+    code, _, err = run(capsys, "runs", "0", big)
     assert code == 2 and "limit-bits" in err
     code, _, err = run(capsys, "--limit-bits", "250", "plot", big, big)
     # allowed through the cap; the scan itself is a single row here
     assert code == 0
+
+
+def test_zeros_is_not_capped(capsys):
+    N = 1 << 200
+    code, out, _ = run(capsys, "zeros", str(N))
+    zeros = count_zero_chi(N)
+    assert code == 0 and json.loads(out) == {"N": N, "zeros": zeros, "X": N - zeros}
 
 
 def test_closed_form_paths_ignore_the_cap(capsys):
@@ -205,6 +214,12 @@ def run_process(*args, timeout=60):
                           timeout=timeout, env=_env())
 
 
+def _cap_address_space():
+    # at 1 GiB a Fibonacci table out to f_200001 (about 1.7 GB) cannot be
+    # built: the child fails fast instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @contextmanager
 def _no_digit_limit():
     get = getattr(sys, "get_int_max_str_digits", None)
@@ -226,6 +241,20 @@ def test_zeros_answers_at_40_bits():
     N = fib(58) - 1
     proc = run_process("zeros", str(N), timeout=5)
     assert proc.returncode == 0 and json.loads(proc.stdout)["zeros"] == h_rec(58)
+
+
+@pytest.mark.parametrize("argv", [("stability", "200000", "2"), ("hull", "200000")])
+def test_over_cap_index_is_refused_at_once(argv):
+    proc = subprocess.run(_argv(*argv), capture_output=True, text=True, timeout=5,
+                          env=_env(), preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and "limit-bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_psi_of_a_large_k_answers_at_once():
+    proc = run_process("psi", str(10 ** 11), timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == psi(10 ** 11)
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,15 +1,95 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibpart import oracle
+from fibpart import fibcore, oracle
+from fibpart.cli import _record
+from fibpart.contfrac import format_word, word_of
 from fibpart.counting import (assoc_multivector, assoc_vector, canonical_form,
-                              chi, chi_via_poly, chi_via_reduction, continuant,
-                              count_F, count_Fh, fib_poly, poly_D, poly_eval)
-from fibpart.fibcore import fib, mu_last, zeckendorf
+                              chi, continuant, count_F, count_Fh, decompose,
+                              fib_poly, poly_D, poly_eval)
+from fibpart.fibcore import (_check_two_partition, content, fib,
+                             is_two_partition, mu_last, zeckendorf)
+from fibpart.orbits import is_essential
 
 small_vectors = st.lists(st.integers(min_value=1, max_value=6),
                          min_size=1, max_size=7).map(tuple)
+
+
+# ---------------------------------------------------------------------------
+# second and third routes to chi, and the definitional multivector: the
+# cross-checks of the production path
+
+def multivector_by_definition(I) -> tuple:
+    """assoc_vector(I) sliced along the components of canonical_form(I)."""
+    if not I:
+        return ()
+    alphas = assoc_vector(I)
+    out, pos = [], 0
+    for block in canonical_form(I):
+        out.append(alphas[pos:pos + len(block)])
+        pos += len(block)
+    return tuple(out)
+
+
+def chi_via_poly(n: int) -> int:
+    """chi by evaluating the full counting polynomial at t = -1."""
+    return poly_eval(fib_poly(n), -1)
+
+
+def _d_at_minus1(A) -> int:
+    """D(A) at t = -1 by tail reduction.
+
+    While the vector is longer than 2: an even last entry drops the last
+    two; an odd last entry after an odd one drops the last three; an odd
+    last entry after an even one folds into bumping that entry by 1.
+    """
+    A = list(A)
+    while len(A) > 2:
+        if A[-1] % 2 == 0:
+            del A[-2:]
+        elif A[-2] % 2 == 1:
+            del A[-3:]
+        else:
+            A[-2] += 1
+            del A[-1]
+    if not A:
+        return 1
+    if len(A) == 1:
+        return -(A[0] % 2)
+    a1, a2 = A
+    return (a1 % 2) * (a2 % 2) + (1 if a2 % 2 == 0 else -1)
+
+
+def chi_via_reduction(n: int) -> int:
+    """chi by the tail-reduction rules applied per simple component."""
+    sign = 1
+    for A in multivector_by_definition(zeckendorf(n)):
+        v = _d_at_minus1(A)
+        if v == 0:
+            return 0
+        sign *= v
+    return sign
+
+
+@st.composite
+def long_block_numbers(draw):
+    """Numbers of up to ~4096 bits built from their Zeckendorf indices as
+    long equal-parity blocks (in-block gaps 2 or 4, odd gaps 3 or 5
+    between blocks)."""
+    i = draw(st.integers(min_value=1, max_value=2))
+    indices = []
+    for length, step, jump in draw(st.lists(
+            st.tuples(st.integers(min_value=1, max_value=300),
+                      st.sampled_from((2, 4)), st.sampled_from((3, 5))),
+            min_size=1, max_size=8)):
+        for _ in range(length):
+            indices.append(i)
+            i += step
+        i += jump - step
+    return content(tuple(j for j in indices if j <= 5900))
 
 
 def test_canonical_form_examples():
@@ -47,6 +127,70 @@ def test_assoc_multivector_examples():
     assert assoc_multivector((3, 8)) == ((2,), (3,))
     assert assoc_multivector((3, 5, 10)) == ((2, 2), (3,))
     assert assoc_multivector(()) == ()
+
+
+def test_decompose_matches_the_definition_small():
+    assert decompose(0) == ((), ())
+    for n in range(20001):
+        I = zeckendorf(n)
+        assert decompose(n) == (I, multivector_by_definition(I)), n
+        assert assoc_multivector(I) == decompose(n)[1]
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=2 ** 4096), long_block_numbers()))
+@settings(max_examples=200, deadline=None)
+def test_decompose_matches_the_definition_big(n):
+    I = zeckendorf(n)
+    assert decompose(n) == (I, multivector_by_definition(I))
+
+
+def record_from_public_calls(n, with_poly):
+    rec = {"n": n, "zeckendorf": list(zeckendorf(n)), "word": format_word(word_of(n)),
+           "F": count_F(n), "chi": chi(n), "essential": is_essential(n)}
+    if with_poly:
+        rec["poly"] = fib_poly(n)
+    return rec
+
+
+def test_record_matches_the_public_calls_small():
+    for n in range(20001):
+        assert _record(n, True) == record_from_public_calls(n, True), n
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=2 ** 4096), long_block_numbers()))
+@settings(max_examples=100, deadline=None)
+def test_record_matches_the_public_calls_big(n):
+    # the counting polynomial is pinned on the small range; at 4096 bits
+    # it takes seconds
+    assert _record(n, False) == record_from_public_calls(n, False)
+
+
+def test_record_runs_the_codec_once(monkeypatch):
+    real = fibcore.zeckendorf
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fibpart" or name.startswith("fibpart."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    n = (1 << 200) + 12345
+    rec = _record(n, True)
+    assert calls == [n]
+    assert rec["zeckendorf"] == list(real(n))
+
+
+@pytest.mark.parametrize("bad, index", [((0, 2), 0), ((3, 3), 3), ((5, 2), 2)])
+def test_one_validator_names_the_offending_index(bad, index):
+    assert not is_two_partition(bad)
+    for check in (_check_two_partition, content, assoc_multivector,
+                  canonical_form, assoc_vector):
+        with pytest.raises(ValueError, match=r"index %d\b" % index):
+            check(bad)
 
 
 def test_poly_D_examples():

@@ -49,6 +49,20 @@ def test_psi_squarefree_products():
     assert psi(2 * 3 * 5) == ordered_bell(3) * 1 * 2 * 4
 
 
+def test_psi_matches_the_plain_recurrence():
+    # the recurrence as first written: every r in 2..k, memoised
+    memo = {1: 1}
+
+    def psi_plain(k):
+        if k not in memo:
+            memo[k] = sum(psi_plain(k // r) * euler_phi(r)
+                          for r in range(2, k + 1) if k % r == 0)
+        return memo[k]
+
+    for k in range(1, 2001):
+        assert psi(k) == psi_plain(k), k
+
+
 def test_bell_sequences():
     assert [ordered_bell(m) for m in range(9)] == [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
     assert [bell(m) for m in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -64,15 +78,14 @@ def test_word_enumeration_counts_and_delta():
 
 
 def test_list_essential_examples():
-    assert list_essential(5).members == (24, 29, 55, 87)
-    assert list_essential(6).members == (37, 42, 45, 50, 144, 231)
-    assert list_essential(1).members == (0,)
+    assert list_essential(5) == (24, 29, 55, 87)
+    assert list_essential(6) == (37, 42, 45, 50, 144, 231)
+    assert list_essential(1) == (0,)
 
 
 def test_list_essential_structure():
     for k in range(1, 31):
-        cls = list_essential(k)
-        members = cls.members
+        members = list_essential(k)
         assert len(members) == psi(k)
         assert list(members) == sorted(set(members))
         assert members[-1] == max_essential(k)
@@ -191,7 +204,7 @@ def test_minimal_essential_routes_agree():
     for k in range(1, 31):
         m = minimal_essential(k)
         assert m == minimal_essential(k, exhaustive=True)
-        assert m == list_essential(k).members[0]
+        assert m == list_essential(k)[0]
 
 
 def test_minimal_essential_square_bound():
