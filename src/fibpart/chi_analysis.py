@@ -6,14 +6,17 @@ bursts, and the runs of zeros have Fibonacci-plus-one lengths.  The upper
 convex hull of the graph of the partition count over a window
 [f_r - 1, f_{r+1} - 1] has its vertices at explicit squared-Fibonacci
 offsets from the window ends.
+
+count_zero_chi is one call of counting._count_upto, the Zeckendorf digit
+engine that also runs enumeration.stability_count; the runs scan chi.
 """
 
 import threading
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import groupby
 
-from .counting import chi, count_F
-from .fibcore import fib, zeckendorf
+from .counting import _count_upto, chi, count_F
+from .fibcore import fib
 
 # h_rec's table; grown under the lock, read without it (as fibcore._FIB)
 _H_VALUES = [0, 0, 0, 0, 1]
@@ -36,104 +39,17 @@ def h_rec(r: int) -> int:
     return vals[r]
 
 
-def _chi_step(state, digit):
-    """One Zeckendorf digit of the zero-chi automaton; None if the digit
-    would break the gap->=2 rule.
-
-    States: ("S", m) before the first 1, m digits read mod 4;
-    ("B", d, p0, p1) inside a block, d digits since the last 1 (1..4 stand
-    for d mod 4, 0 for d == 0), p0, p1 the last two prefix continuants of
-    the block mod 2, as in counting.chi; ("Z", last) once a closed block
-    had an even continuant, last telling whether the last digit was a 1.
-    """
-    kind = state[0]
-    if kind == "Z":
-        if digit:
-            return None if state[1] else ("Z", True)
-        return ("Z", False)
-    if kind == "S":
-        m = state[1]
-        if not digit:
-            return ("S", (m + 1) % 4)
-        # first index i = m + 1 has entry (i - 1)//2 + 1
-        return ("B", 0, 1, 1 if m in (0, 1) else 0)
-    _, d, p0, p1 = state
-    if not digit:
-        return ("B", d + 1 if d < 4 else 1, p0, p1)
-    if d == 0:
-        return None
-    g = d + 1                      # the gap, correct mod 4
-    a = 1 if g % 4 in (0, 1) else 0   # parity of the entry g//2 + 1
-    if g % 2:                      # odd gap: the open block closes
-        return ("Z", True) if p1 == 0 else ("B", 0, 1, a)
-    return ("B", 0, p1, (a & p1) ^ p0)
-
-
-@cache
-def _chi_automaton():
-    """Number the states reachable from the start and tabulate the
-    automaton: (start, next state on 0, next on 1 or -1, accepting).  A
-    state accepts when chi of the digits read is 0."""
-    start = ("S", 0)
-    ids = {start: 0}
-    order = [start]
-    on0, on1 = [], []
-    for state in order:            # grows while it is walked
-        for digit, table in ((0, on0), (1, on1)):
-            nxt = _chi_step(state, digit)
-            if nxt is None:
-                table.append(-1)
-                continue
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            table.append(ids[nxt])
-    accept = [s[0] == "Z" or (s[0] == "B" and s[3] == 0) for s in order]
-    return 0, tuple(on0), tuple(on1), tuple(accept)
-
-
 def count_zero_chi(N: int) -> int:
-    """How many n in [1, N] have chi(n) == 0, by a digit DP over the
-    Zeckendorf digits of N: O(log N) steps of a ~20-state automaton.
+    """How many n in [1, N] have chi(n) == 0, in O(log N) digit steps.
 
-    Each n < N agrees with N above some index j where N has a 1 and n a 0;
-    below j it is any valid digit string.  So the count is, over the 1s j
-    of N, the number of strings on indices 1..j-1 whose automaton state
-    goes on to accept after a 0 at j and N's own digits above j, plus N
-    itself.
+    chi(n) == 0 exactly when count_F(n) is even (the counting polynomial
+    has P(-1) = P(1) mod 2), so this counts the digit strings <= N whose
+    block product C is even, carrying the gap mod 4 and P, C mod 2.
     """
     if N < 0:
         raise ValueError("need N >= 0, got %r" % (N,))
-    start, on0, on1, accept = _chi_automaton()
-    top = zeckendorf(N)
-    L = top[-1] if top else 0
-    bits = [0] * (L + 1)
-    for i in top:
-        bits[i] = 1
-    # live[k][s]: from state s, N's digits k+1..L end in an accepting state
-    live = [None] * (L + 1)
-    live[L] = cur = accept
-    for k in range(L, 0, -1):
-        table = on1 if bits[k] else on0
-        cur = [t >= 0 and cur[t] for t in table]
-        live[k - 1] = cur
-    zeros = 1 if live[0][start] else 0
-    counts = [0] * len(on0)        # valid strings on indices 1..k-1, per state
-    counts[start] = 1
-    for k in range(1, L + 1):
-        if bits[k]:
-            after = live[k]
-            zeros += sum(c for s, c in enumerate(counts) if c and after[on0[s]])
-        if k < L:
-            nxt = [0] * len(counts)
-            for s, c in enumerate(counts):
-                if c:
-                    nxt[on0[s]] += c
-                    t = on1[s]
-                    if t >= 0:
-                        nxt[t] += c
-            counts = nxt
-    return zeros
+    return _count_upto(N, lambda s: (s[0] & 3, s[1] & 1, s[2] & 1),
+                       lambda key, last: not key[2])
 
 
 def x_sum(N: int) -> int:
@@ -153,39 +69,30 @@ class RunReport:
     values: tuple = field(default_factory=tuple)   # chi values, nonzero runs only
 
 
-def _runs(lo, hi, want_zero):
+def _runs(lo, hi) -> list:
+    """Every maximal run of chi == 0 and of chi != 0 inside the open range
+    (lo, hi), in order, from one scan."""
     if lo >= hi:
         raise ValueError("need lo < hi, got %r >= %r" % (lo, hi))
-    kind = "zero" if want_zero else "nonzero"
-    out = []
-    start = None
-    vals = []
-    for n in range(lo + 1, hi):
-        v = chi(n)
-        if (v == 0) == want_zero:
-            if start is None:
-                start = n
-                vals = []
-            if not want_zero:
-                vals.append(v)
-        elif start is not None:
-            out.append(RunReport(start, n - start, kind, tuple(vals)))
-            start = None
-    if start is not None:
-        out.append(RunReport(start, hi - start, kind, tuple(vals)))
+    out, start = [], lo + 1
+    for zero, group in groupby(map(chi, range(lo + 1, hi)), key=lambda v: v == 0):
+        values = tuple(group)
+        out.append(RunReport(start, len(values), "zero" if zero else "nonzero",
+                             () if zero else values))
+        start += len(values)
     return out
 
 
 def zero_runs(lo: int, hi: int) -> list:
     """Maximal runs of chi == 0 inside the open range (lo, hi).  A run
     whose neighbours both lie inside the range has length 1 or f_r + 1."""
-    return _runs(lo, hi, True)
+    return [run for run in _runs(lo, hi) if run.kind == "zero"]
 
 
 def nonzero_runs(lo: int, hi: int) -> list:
     """Maximal runs of chi != 0 inside the open range (lo, hi); interior
     runs are at most 4 long with constrained sign patterns."""
-    return _runs(lo, hi, False)
+    return [run for run in _runs(lo, hi) if run.kind == "nonzero"]
 
 
 # ---------------------------------------------------------------------------

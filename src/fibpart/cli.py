@@ -145,10 +145,8 @@ def _cmd_zeros(args):
 
 def _cmd_runs(args):
     _check_scan_size(args.hi, "HI", args.limit_bits)
-    reports = chi_analysis.zero_runs(args.lo, args.hi) + chi_analysis.nonzero_runs(args.lo, args.hi)
-    reports.sort(key=lambda rep: rep.start)
     out = []
-    for rep in reports:
+    for rep in chi_analysis._runs(args.lo, args.hi):
         d = {"start": rep.start, "length": rep.length, "kind": rep.kind}
         if rep.kind == "nonzero":
             d["values"] = list(rep.values)
@@ -175,7 +173,8 @@ def _cmd_plot(args):
     out = sys.stdout
     out.write("n,F,chi\n")
     for n in range(args.lo, args.hi + 1):
-        out.write("%d,%d,%d\n" % (n, counting.count_F(n), counting.chi(n)))
+        blocks = counting.decompose(n)[1]
+        out.write("%d,%d,%d\n" % (n, counting._count_of(blocks), counting._chi_of(blocks)))
     return 0
 
 

@@ -61,6 +61,66 @@ def _blocks(I) -> tuple:
     return tuple(map(tuple, blocks))
 
 
+def _digit_step(state, digit):
+    """The block rule of _blocks on one Zeckendorf digit, lowest index
+    first.  state = (g, P, C): g the gap from the last 1 (a phantom 1 at
+    index 1 gives the start (0, 0, 1)), C the product of the block
+    continuants so far, P the same with the open block's previous one.  A
+    1 with entry a = g//2 + 1 maps (P, C) to (C, a*C) after an odd gap (a
+    new block), else to (C, a*C - P); with P == 0 both agree.  At the end
+    C is count_F.  The gap->=2 rule is the caller's."""
+    g, P, C = state
+    if not digit:
+        return g + 1, P, C
+    a = g // 2 + 1
+    return 1, C, a * C if g & 1 else a * C - P
+
+
+def _count_upto(N, reduce, accept) -> int:
+    """How many n in [0, N] end in an accepted state, in one walk over the
+    Zeckendorf digits of N.  reduce maps each _digit_step state to the
+    key it is tracked by (interned, its two moves memoised), or to None to
+    drop it; accept(key, last) judges a whole string.  Each string also
+    carries its last digit, so that no 1 follows a 1, and whether it is
+    <= N on the indices read so far (a digit below N's sets that flag, one
+    above clears it, an equal one keeps it)."""
+    top = zeckendorf(N)
+    ones = set(top)
+    ids, keys, moves = {}, [], []
+
+    def intern(state, last):
+        key = reduce(state)
+        if key is None:
+            return None
+        if (key, last) not in ids:
+            ids[key, last] = len(keys)
+            keys.append((key, last))
+            moves.append(None)
+        return ids[key, last]
+
+    def move(i):
+        key, last = keys[i]
+        moves[i] = m = (intern(_digit_step(key, 0), 0),
+                        None if last else intern(_digit_step(key, 1), 1))
+        return m
+
+    below, above = {intern((0, 0, 1), 0): 1}, {}
+    for index in range(1, top[-1] + 1 if top else 1):
+        nb, na = {}, {}
+        one = index in ones
+        for src, le in ((below, True), (above, False)):
+            to0 = nb if one or le else na
+            to1 = nb if one and le else na
+            for s, c in src.items():
+                t0, t1 = moves[s] or move(s)
+                if t0 is not None:
+                    to0[t0] = to0.get(t0, 0) + c
+                if t1 is not None:
+                    to1[t1] = to1.get(t1, 0) + c
+        below, above = nb, na
+    return sum(c for s, c in below.items() if accept(*keys[s]))
+
+
 def decompose(n: int) -> tuple:
     """(indices, blocks): the Zeckendorf indices of n and its associated
     multivector, one gap vector per simple component.  Every per-n

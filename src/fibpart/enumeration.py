@@ -5,7 +5,8 @@ partition count k correspond to words whose letter denominators multiply
 to k.  Their number Psi(k) obeys a totient divisor recurrence; collapsing
 words that differ only by letter order leaves the commutative classes,
 counted by Psi_Sigma(k), which suffice when hunting for the minimal
-essential k-number.
+essential k-number.  How many n of one Fibonacci window have count k is
+a call of counting._count_upto, the Zeckendorf digit engine.
 """
 
 from collections import Counter
@@ -13,9 +14,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, isqrt
 
-from .contfrac import cf_expand, word_of
+from .contfrac import _word_of, cf_expand
+from .counting import _count_upto, _digit_step, decompose
 from .fibcore import fib
-from .orbits import is_essential, is_f_prime, theta
+from .orbits import _is_essential, is_f_prime, theta
 
 
 def euler_phi(n: int) -> int:
@@ -139,11 +141,12 @@ def commutative_normal_form(word) -> tuple:
 def circle(n1: int, n2: int) -> int:
     """Commutative product on essential numbers: concatenate the two
     words, sort into normal form, take the minimal representative."""
-    if not is_essential(n1):
+    (I1, blocks1), (I2, blocks2) = decompose(n1), decompose(n2)
+    if not _is_essential(I1):
         raise ValueError("left operand %d is not essential" % (n1,))
-    if not is_essential(n2):
+    if not _is_essential(I2):
         raise ValueError("right operand %d is not essential" % (n2,))
-    return theta(commutative_normal_form(word_of(n1) + word_of(n2)))
+    return theta(commutative_normal_form(_word_of(blocks1) + _word_of(blocks2)))
 
 
 def _factor_multisets(k, cap=None):
@@ -180,15 +183,14 @@ def psi_sigma(k: int) -> int:
     return sum(1 for _ in commutative_words(k))
 
 
-def minimal_essential(k: int, exhaustive: bool = False) -> int:
+def minimal_essential(k: int) -> int:
     """Smallest n with partition count k.
 
-    Searches one word per letter multiset (order never lowers the minimum
-    below its sorted form); exhaustive=True searches all Psi(k) words
-    instead, as a cross-check.
+    Searches one word per letter multiset (commutative_words): order
+    never lowers the minimum below its sorted form, so the other
+    Psi(k) - Psi_Sigma(k) orderings need not be tried.
     """
-    words = words_with_delta(k) if exhaustive else commutative_words(k)
-    return min(theta(w) for w in words)
+    return min(theta(w) for w in commutative_words(k))
 
 
 def is_primitive(k: int) -> bool:
@@ -203,41 +205,14 @@ def stability_count(r: int, k: int) -> int:
     """How many n in [f_r, f_{r+1}) have partition count k.  Stabilizes at
     1 for k == 1 and 2*psi(k) otherwise once r >= 2k.
 
-    A DP over the Zeckendorf indices 1..r of n, index r being a 1.  With C
-    the product of the closed blocks' continuants times the open block's
-    current one, and P the same product with the open block's previous
-    continuant, a 1 after a gap g has entry a = g//2 + 1 and moves (P, C)
-    to (C, a*C) when g is odd (a new block starts) and to (C, a*C - P)
-    when g is even.  Continuants never decrease along a block, so C never
-    decreases, and a state is dropped as soon as C, or the least C the
-    next 1 can give, exceeds k.
+    One digit count over the strings on indices 1..r (n <= f_{r+1} - 1)
+    that accepts digit r a 1 and block product C == k.  C never falls,
+    and a 1 placed later gives a C no smaller than a 1 placed now (P <= C),
+    so a state is dropped once a 1 now would pass k: the 1 due at index r
+    would pass it too.
     """
     if r < 1 or k < 1:
         raise ValueError("need r >= 1 and k >= 1")
-    # (d, P, C) -> number of digit strings; d digits since the last 1, or
-    # since the start while P == 0 (no 1 yet, C == 1)
-    states = {(0, 0, 1): 1}
-
-    def place_one(d, P, C):
-        if P == 0:                 # first index i = d + 1: entry (i-1)//2 + 1
-            return 1, d // 2 + 1
-        g = d + 1
-        a = g // 2 + 1
-        return C, a * C if g % 2 else a * C - P
-
-    for _ in range(r - 1):
-        nxt = {}
-        for (d, P, C), cnt in states.items():
-            # a 0: the next 1 comes after a gap >= d + 2, so C reaches at least
-            least = (d + 1) // 2 + 1 if P == 0 else C * ((d + 2) // 2)
-            if least <= k:
-                key = (d + 1, P, C)
-                nxt[key] = nxt.get(key, 0) + cnt
-            if d or P == 0:
-                P1, C1 = place_one(d, P, C)
-                if C1 <= k:
-                    key = (0, P1, C1)
-                    nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    return sum(cnt for (d, P, C), cnt in states.items()
-               if (d or P == 0) and place_one(d, P, C)[1] == k)
+    return _count_upto(fib(r + 1) - 1,
+                       lambda s: None if _digit_step(s, 1)[2] > k else s,
+                       lambda key, last: last and key[2] == k)

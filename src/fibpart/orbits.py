@@ -14,8 +14,9 @@ minimum, the "essential" numbers; these are closed under a shifted-sum
 product and correspond one-to-one to words of fractions.
 """
 
-from .contfrac import cf_expand, word_of
-from .fibcore import content, mu_last, shift_sigma, zeckendorf
+from .contfrac import _word_of, cf_expand
+from .counting import decompose
+from .fibcore import content, shift_sigma, zeckendorf
 
 
 def act_omega(n: int) -> int:
@@ -158,11 +159,11 @@ def m_from_essential(n: int) -> int:
     Zeckendorf indices refolds into a single index 2a-1, everything after
     it shifts down by 3.
     """
-    if not is_essential(n):
+    Z = zeckendorf(n)
+    if not _is_essential(Z):
         raise ValueError("%d is not essential" % (n,))
     if n == 0:
         return 0
-    Z = zeckendorf(n)
     if Z[0] == 3:
         a = 1
         while a < len(Z) and Z[a] - Z[a - 1] == 2:
@@ -177,13 +178,15 @@ def star(n1: int, n2: int) -> int:
     """Concatenation product on essential numbers: n1 plus n2 with its
     indices shifted past the top index of n1.  Multiplies partition
     counts; not commutative."""
-    if not is_essential(n1):
+    I1, I2 = zeckendorf(n1), zeckendorf(n2)
+    if not _is_essential(I1):
         raise ValueError("left operand %d is not essential" % (n1,))
-    if not is_essential(n2):
+    if not _is_essential(I2):
         raise ValueError("right operand %d is not essential" % (n2,))
-    return n1 + content(shift_sigma(zeckendorf(n2), mu_last(n1)))
+    return n1 + content(shift_sigma(I2, I1[-1] if I1 else 0))
 
 
 def is_f_prime(n: int) -> bool:
     """True iff n is essential and its word is a single letter."""
-    return is_essential(n) and n > 0 and len(word_of(n)) == 1
+    I, blocks = decompose(n)
+    return n > 0 and _is_essential(I) and len(_word_of(blocks)) == 1

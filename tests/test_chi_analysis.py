@@ -2,6 +2,8 @@ import time
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibpart import oracle
 from fibpart.chi_analysis import (computed_hull_points, count_zero_chi,
@@ -9,6 +11,7 @@ from fibpart.chi_analysis import (computed_hull_points, count_zero_chi,
                                   upper_hull, x_sum, zero_runs)
 from fibpart.counting import chi, count_F
 from fibpart.fibcore import fib
+from strategies import fibonacci_neighbours, long_block_numbers
 
 NONZERO_PATTERNS = {
     (1,), (-1,), (1, -1), (-1, 1),
@@ -181,6 +184,14 @@ def test_count_zero_chi_matches_recurrence_past_1000_bits():
         r += 1
     N = fib(r) - 1
     assert x_sum(N) == N - h_rec(r)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=2 ** 4096),
+                 fibonacci_neighbours, long_block_numbers().filter(bool)))
+@settings(max_examples=20, deadline=None)
+def test_count_zero_chi_steps_by_the_per_n_kernel(N):
+    # the "n <= N" flag at any N: one more zero exactly when chi(N) == 0
+    assert count_zero_chi(N) - count_zero_chi(N - 1) == (chi(N) == 0)
 
 
 def test_x_sum_pinned_values_are_fast():

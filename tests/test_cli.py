@@ -11,7 +11,7 @@ import fibpart
 from fibpart.chi_analysis import count_zero_chi, h_rec
 from fibpart.cli import main
 from fibpart.contfrac import parse_word
-from fibpart.counting import chi
+from fibpart.counting import chi, count_F
 from fibpart.enumeration import psi
 from fibpart.fibcore import fib
 from fibpart.orbits import theta
@@ -144,6 +144,15 @@ def test_plot_row_count(capsys):
     assert lines[0] == "n,F,chi"
     assert len(lines) == 1 + (25 - 5 + 1)
     assert lines[1] == "5,2,0"
+
+
+def test_plot_runs_the_codec_once_per_row(capsys, codec_calls):
+    code, out, _ = run(capsys, "plot", "100", "140")
+    assert code == 0
+    assert codec_calls == list(range(100, 141))
+    for line in out.strip().split("\n")[1:]:
+        n, F, c = map(int, line.split(","))
+        assert (F, c) == (count_F(n), chi(n))
 
 
 def test_oracle_check(capsys):

@@ -1,10 +1,8 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibpart import fibcore, oracle
+from fibpart import oracle
 from fibpart.cli import _record
 from fibpart.contfrac import format_word, word_of
 from fibpart.counting import (assoc_multivector, assoc_vector, canonical_form,
@@ -13,6 +11,7 @@ from fibpart.counting import (assoc_multivector, assoc_vector, canonical_form,
 from fibpart.fibcore import (_check_two_partition, content, fib,
                              is_two_partition, mu_last, zeckendorf)
 from fibpart.orbits import is_essential
+from strategies import long_block_numbers
 
 small_vectors = st.lists(st.integers(min_value=1, max_value=6),
                          min_size=1, max_size=7).map(tuple)
@@ -72,24 +71,6 @@ def chi_via_reduction(n: int) -> int:
             return 0
         sign *= v
     return sign
-
-
-@st.composite
-def long_block_numbers(draw):
-    """Numbers of up to ~4096 bits built from their Zeckendorf indices as
-    long equal-parity blocks (in-block gaps 2 or 4, odd gaps 3 or 5
-    between blocks)."""
-    i = draw(st.integers(min_value=1, max_value=2))
-    indices = []
-    for length, step, jump in draw(st.lists(
-            st.tuples(st.integers(min_value=1, max_value=300),
-                      st.sampled_from((2, 4)), st.sampled_from((3, 5))),
-            min_size=1, max_size=8)):
-        for _ in range(length):
-            indices.append(i)
-            i += step
-        i += jump - step
-    return content(tuple(j for j in indices if j <= 5900))
 
 
 def test_canonical_form_examples():
@@ -165,23 +146,11 @@ def test_record_matches_the_public_calls_big(n):
     assert _record(n, False) == record_from_public_calls(n, False)
 
 
-def test_record_runs_the_codec_once(monkeypatch):
-    real = fibcore.zeckendorf
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "fibpart" or name.startswith("fibpart."):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, counted)
+def test_record_runs_the_codec_once(codec_calls):
     n = (1 << 200) + 12345
     rec = _record(n, True)
-    assert calls == [n]
-    assert rec["zeckendorf"] == list(real(n))
+    assert codec_calls == [n]
+    assert rec["zeckendorf"] == list(zeckendorf(n))
 
 
 @pytest.mark.parametrize("bad, index", [((0, 2), 0), ((3, 3), 3), ((5, 2), 2)])

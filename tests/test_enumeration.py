@@ -194,6 +194,11 @@ def test_psi_sigma_counts_distinct_letter_multisets():
         assert psi_sigma(k) == len(multisets), k
 
 
+def test_circle_runs_the_codec_once_per_operand(codec_calls):
+    assert circle(8, 63) == 673
+    assert codec_calls == [8, 63]
+
+
 def test_minimal_essential_examples():
     assert minimal_essential(8) == 63
     assert minimal_essential(29) == 1050
@@ -203,7 +208,7 @@ def test_minimal_essential_examples():
 def test_minimal_essential_routes_agree():
     for k in range(1, 31):
         m = minimal_essential(k)
-        assert m == minimal_essential(k, exhaustive=True)
+        assert m == min(theta(w) for w in words_with_delta(k))
         assert m == list_essential(k)[0]
 
 
@@ -244,6 +249,48 @@ def test_stability_count_matches_scan():
         scan = Counter(count_F(n) for n in range(fib(r), fib(r + 1)))
         for k in range(1, 13):
             assert stability_count(r, k) == scan[k], (r, k)
+
+
+def stability_count_by_window(r: int, k: int) -> int:
+    """The window DP that stability_count ran before the digit engine,
+    kept as a reference: (gap, P, C) states over the indices 1..r of n,
+    index r being a 1, with its own first-1 rule and its own pruning."""
+    if r < 1 or k < 1:
+        raise ValueError("need r >= 1 and k >= 1")
+    # (d, P, C) -> number of digit strings; d digits since the last 1, or
+    # since the start while P == 0 (no 1 yet, C == 1)
+    states = {(0, 0, 1): 1}
+
+    def place_one(d, P, C):
+        if P == 0:                 # first index i = d + 1: entry (i-1)//2 + 1
+            return 1, d // 2 + 1
+        g = d + 1
+        a = g // 2 + 1
+        return C, a * C if g % 2 else a * C - P
+
+    for _ in range(r - 1):
+        nxt = {}
+        for (d, P, C), cnt in states.items():
+            # a 0: the next 1 comes after a gap >= d + 2, so C reaches at least
+            least = (d + 1) // 2 + 1 if P == 0 else C * ((d + 2) // 2)
+            if least <= k:
+                key = (d + 1, P, C)
+                nxt[key] = nxt.get(key, 0) + cnt
+            if d or P == 0:
+                P1, C1 = place_one(d, P, C)
+                if C1 <= k:
+                    key = (0, P1, C1)
+                    nxt[key] = nxt.get(key, 0) + cnt
+        states = nxt
+    return sum(cnt for (d, P, C), cnt in states.items()
+               if (d or P == 0) and place_one(d, P, C)[1] == k)
+
+
+def test_stability_count_matches_the_window_dp():
+    # r <= 20 is pinned by the scan and r >= 2k by 2*psi(k)
+    for r in range(21, 41):
+        for k in range((r + 2) // 2, 31):
+            assert stability_count(r, k) == stability_count_by_window(r, k), (r, k)
 
 
 def test_stability_count_at_r_equal_2k():

@@ -234,3 +234,13 @@ def test_one_letter_window():
         z = zeckendorf(m)
         expected = all(i % 2 == 0 for i in z[1:])
         assert is_f_prime(essential_from_m(m)) == expected, m
+
+
+@pytest.mark.parametrize("call, args", [
+    (is_f_prime, (9789,)),         # theta of the one letter 34/89
+    (m_from_essential, (9789,)),
+    (star, (11, 29)),
+])
+def test_one_codec_run_per_operand(codec_calls, call, args):
+    call(*args)
+    assert codec_calls == list(args)
