@@ -3,10 +3,10 @@
 delta is multiplicative over letters, so the essential numbers with
 partition count k correspond to words whose letter denominators multiply
 to k.  Their number Psi(k) obeys a totient divisor recurrence; collapsing
-words that differ only by letter order leaves the commutative classes,
-counted by Psi_Sigma(k), which suffice when hunting for the minimal
-essential k-number.  How many n of one Fibonacci window have count k is
-a call of counting._count_upto, the Zeckendorf digit engine.
+letter order leaves Psi_Sigma(k) commutative classes, a sum over the factor
+multisets of k.  The minimal essential k-number has the least top index, a
+sum of letter weights, so theta runs on a few words.  How many n of one
+Fibonacci window have count k is one call of counting._count_upto.
 """
 
 from collections import Counter
@@ -37,14 +37,18 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def _divisors(k):
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in reversed(small) if d * d != k]
+
+
 def psi(k: int) -> int:
     """Number of essential k-numbers: Psi(1) = 1 and
     Psi(k) = sum over divisors r > 1 of Psi(k/r) * phi(r), run over the
     sorted divisors of k (trial division up to sqrt(k))."""
     if k < 1:
         raise ValueError("psi needs k >= 1, got %r" % (k,))
-    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    divisors = small + [k // d for d in reversed(small) if d * d != k]
+    divisors = _divisors(k)
     phi = {r: euler_phi(r) for r in divisors}
     table = {1: 1}
     for i, d in enumerate(divisors[1:], 1):
@@ -72,8 +76,8 @@ def bell(m: int) -> int:
     return vals[m]
 
 
-def _coprimes(b):
-    return [a for a in range(1, b) if gcd(a, b) == 1]
+def _letters(b):
+    return [Fraction(a, b) for a in range(1, b) if gcd(a, b) == 1]
 
 
 def words_with_delta(k: int):
@@ -83,12 +87,11 @@ def words_with_delta(k: int):
     if k == 1:
         yield ()
         return
-    for b in range(2, k + 1):
-        if k % b == 0:
-            heads = [Fraction(a, b) for a in _coprimes(b)]
-            for rest in words_with_delta(k // b):
-                for head in heads:
-                    yield (head,) + rest
+    for b in _divisors(k)[1:]:
+        heads = _letters(b)
+        for rest in words_with_delta(k // b):
+            for head in heads:
+                yield (head,) + rest
 
 
 def list_essential(k: int) -> tuple:
@@ -161,36 +164,57 @@ def _factor_multisets(k, cap=None):
                 yield (b,) + rest
 
 
+def _normal_words(multisets, letters):
+    """One normal-form word per letter multiset, letters(b) per factor b."""
+    for factors in multisets:
+        pools = [list(combinations_with_replacement(letters(b), mult))
+                 for b, mult in sorted(Counter(factors).items())]
+        for picks in product(*pools):
+            yield commutative_normal_form(sum(picks, ()))
+
+
 def commutative_words(k: int):
     """One normal-form word per unordered letter multiset with
     denominator product k (Psi_Sigma(k) of them)."""
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
-    for factors in _factor_multisets(k):
-        groups = sorted(Counter(factors).items())
-        pools = []
-        for b, mult in groups:
-            pools.append([
-                tuple(Fraction(a, b) for a in nums)
-                for nums in combinations_with_replacement(_coprimes(b), mult)
-            ])
-        for picks in product(*pools):
-            yield commutative_normal_form(sum(picks, ()))
+    yield from _normal_words(_factor_multisets(k), _letters)
 
 
 def psi_sigma(k: int) -> int:
-    """Number of commutative essential k-numbers, by enumeration."""
-    return sum(1 for _ in commutative_words(k))
+    """Number of commutative essential k-numbers: the sum over the factor
+    multisets of k of the product of C(phi(b) + m_b - 1, m_b)."""
+    if k < 1:
+        raise ValueError("need k >= 1, got %r" % (k,))
+    phi = {b: euler_phi(b) for b in _divisors(k)}
+    total = 0
+    for factors in _factor_multisets(k):
+        term = 1
+        for b, mult in Counter(factors).items():
+            term *= comb(phi[b] + mult - 1, mult)
+        total += term
+    return total
 
 
 def minimal_essential(k: int) -> int:
     """Smallest n with partition count k.
 
-    Searches one word per letter multiset (commutative_words): order
-    never lowers the minimum below its sorted form, so the other
-    Psi(k) - Psi_Sigma(k) orderings need not be tried.
+    The top Zeckendorf index of theta(w) is the sum of the letter weights
+    2*sum(a - 1) + 1, a over cf_expand(letter), and the least n has the
+    least top index: theta runs only on the normal-form words of the
+    lightest letters of the factor multisets of least weight sum.
     """
-    return min(theta(w) for w in commutative_words(k))
+    if k < 1:
+        raise ValueError("need k >= 1, got %r" % (k,))
+    light, lightest = {}, {}
+    for b in _divisors(k)[1:]:
+        weight = {g: 2 * (sum(v := cf_expand(g)) - len(v)) + 1
+                  for g in _letters(b)}
+        light[b] = min(weight.values())
+        lightest[b] = [g for g, w in weight.items() if w == light[b]]
+    cost = {f: sum(light[b] for b in f) for f in _factor_multisets(k)}
+    top = min(cost.values())
+    return min(theta(w) for w in _normal_words([f for f in cost if cost[f] == top], lightest.get))
 
 
 def is_primitive(k: int) -> bool:

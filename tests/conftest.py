@@ -2,20 +2,17 @@ import sys
 
 import pytest
 
-from fibpart import fibcore
+from fibpart import fibcore, orbits
 
 
-@pytest.fixture
-def codec_calls(monkeypatch):
-    """Record every argument the package passes to fibcore.zeckendorf:
-    each fibpart module binding of the codec is swapped for a counting
-    wrapper for the test's duration."""
-    real = fibcore.zeckendorf
+def _record_calls(monkeypatch, real):
+    """Swap every fibpart module binding of real for a wrapper that records
+    its argument, for the test's duration; return the record."""
     calls = []
 
-    def counted(n):
-        calls.append(n)
-        return real(n)
+    def counted(arg):
+        calls.append(arg)
+        return real(arg)
 
     for name, mod in list(sys.modules.items()):
         if name == "fibpart" or name.startswith("fibpart."):
@@ -23,3 +20,15 @@ def codec_calls(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Record every argument the package passes to fibcore.zeckendorf."""
+    return _record_calls(monkeypatch, fibcore.zeckendorf)
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Record every word the package passes to orbits.theta."""
+    return _record_calls(monkeypatch, orbits.theta)

@@ -266,6 +266,18 @@ def test_psi_of_a_large_k_answers_at_once():
     assert int(proc.stdout) == psi(10 ** 11)
 
 
+def test_minimal_of_a_large_k_answers_at_once():
+    proc = run_process("minimal", "5040", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert count_F(json.loads(proc.stdout)["M"]) == 5040
+
+
+def test_psi_sigma_of_a_large_k_answers_at_once():
+    proc = run_process("psi-sigma", "720720", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 335122560
+
+
 def test_closed_pipe_exits_quietly():
     # about 160 kB of output, more than a pipe holds, so the writer meets
     # the closed end

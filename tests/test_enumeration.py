@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibpart.contfrac import delta
+from fibpart.contfrac import cf_expand, delta
 from fibpart.counting import count_F
 from fibpart.enumeration import (bell, circle, cmp_triangle,
                                  commutative_normal_form, commutative_words,
@@ -14,7 +14,7 @@ from fibpart.enumeration import (bell, circle, cmp_triangle,
                                  max_essential, minimal_essential,
                                  ordered_bell, psi, psi_sigma,
                                  stability_count, words_with_delta)
-from fibpart.fibcore import fib
+from fibpart.fibcore import fib, zeckendorf
 from fibpart.orbits import is_essential, star, theta
 
 PSI_FIRST_20 = [1, 1, 2, 3, 4, 6, 6, 9, 10, 12, 10, 22, 12, 18, 24, 27, 16, 38, 18, 44]
@@ -186,6 +186,11 @@ def test_psi_sigma_closed_forms():
     assert psi_sigma(2 * 3 * 5) == bell(3) * 1 * 2 * 4
 
 
+def test_psi_sigma_counts_commutative_words():
+    for k in range(1, 201):
+        assert psi_sigma(k) == sum(1 for _ in commutative_words(k)), k
+
+
 def test_psi_sigma_counts_distinct_letter_multisets():
     # a second route: group the full word enumeration by letter multiset
     for k in range(1, 25):
@@ -210,6 +215,50 @@ def test_minimal_essential_routes_agree():
         m = minimal_essential(k)
         assert m == min(theta(w) for w in words_with_delta(k))
         assert m == list_essential(k)[0]
+
+
+def minimal_by_commutative_words(k: int) -> int:
+    """The route minimal_essential took before the top-index pruning:
+    theta on one normal-form word per letter multiset."""
+    return min(theta(w) for w in commutative_words(k))
+
+
+def test_minimal_essential_matches_every_commutative_word():
+    for k in range(1, 201):
+        assert minimal_essential(k) == minimal_by_commutative_words(k), k
+
+
+def test_minimal_essential_matches_every_word_to_40():
+    # test_minimal_essential_routes_agree covers k <= 30
+    for k in range(31, 41):
+        assert minimal_essential(k) == min(theta(w) for w in words_with_delta(k)), k
+
+
+def letter_weight(g) -> int:
+    v = cf_expand(g)
+    return 2 * sum(a - 1 for a in v) + 1
+
+
+letters = st.integers(2, 60).flatmap(
+    lambda b: st.integers(1, b - 1).filter(lambda a: Fraction(a, b).denominator == b)
+    .map(lambda a: Fraction(a, b)))
+
+
+@given(st.lists(letters, min_size=1, max_size=5), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_top_index_is_the_order_free_sum_of_letter_weights(word, rng):
+    # the lemma behind minimal_essential's pruning
+    top = sum(letter_weight(g) for g in word)
+    assert zeckendorf(theta(tuple(word)))[-1] == top
+    rng.shuffle(word)
+    assert zeckendorf(theta(tuple(word)))[-1] == top
+
+
+def test_minimal_essential_runs_theta_on_few_words(theta_calls):
+    # theta on every commutative word would be psi_sigma(840) = 7488 calls
+    assert psi_sigma(840) == 7488
+    minimal_essential(840)
+    assert 0 < len(theta_calls) <= 20
 
 
 def test_minimal_essential_square_bound():
