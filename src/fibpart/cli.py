@@ -20,6 +20,11 @@ _GENERATORS = {
 }
 
 
+# enumerate builds about 18 microseconds' worth per essential number
+# (list_essential(720): 75624 numbers in 1.4 s); past this many it refuses
+_ENUMERATE_BUDGET = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -121,6 +126,15 @@ def _cmd_psi_sigma(args):
 
 
 def _cmd_enumerate(args):
+    # psi(K) >= phi(K) >= sqrt(K/2): past 2 * budget^2 the count itself,
+    # which factors K by trial division, need not be run
+    if args.k > 2 * _ENUMERATE_BUDGET ** 2:
+        raise UsageError("K=%d: psi(K) >= sqrt(K/2) exceeds the enumerate budget of %d numbers"
+                         % (args.k, _ENUMERATE_BUDGET))
+    count = enumeration.psi(args.k)
+    if count > _ENUMERATE_BUDGET:
+        raise UsageError("K=%d: psi(K) = %d essential numbers exceed the enumerate budget of %d"
+                         % (args.k, count, _ENUMERATE_BUDGET))
     print(" ".join(str(n) for n in enumeration.list_essential(args.k)))
     return 0
 

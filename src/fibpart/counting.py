@@ -6,11 +6,17 @@ to an associated vector, and the number of ways to write n as a sum of
 distinct Fibonacci numbers with h parts is the t^h coefficient of a
 product of tridiagonal-determinant polynomials, one per block.
 
-Polynomials are plain dense coefficient lists: index = degree, trailing
-zeros trimmed, the zero polynomial is [].  All arithmetic is exact.
+Polynomials are dense coefficient lists at the interface: index =
+degree, trailing zeros trimmed, the zero polynomial is [].  Inside
+fib_poly the product across blocks is packed: each factor becomes one
+exact Decimal with a fixed-width digit field per coefficient, and a
+balanced tree of Decimal products replaces the schoolbook fold on all but
+the smallest factors.  All arithmetic is exact.
 """
 
-from functools import reduce
+import sys
+from collections import namedtuple
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from math import prod
 
 from .fibcore import _check_two_partition, zeckendorf
@@ -195,8 +201,76 @@ def continuant(A) -> int:
     return dm1
 
 
+# Products below this many coefficients stay on poly_mul: there the
+# schoolbook loop costs less than packing and Decimal set-up.
+_SMALL_PRODUCT = 32
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+# A factor of the block product as one digit string, width digits per
+# coefficient, the top degree first; value is the factor at t = 1.
+_Packed = namedtuple("_Packed", "digits length width value")
+
+
+def _str_safe(width: int) -> bool:
+    """Whether str(int) and int(str) may run on width digits under the
+    interpreter's int<->str digit limit, which the library leaves as it
+    is; Decimal conversions are not subject to it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return not limit or width <= limit
+
+
+def _fields(node, width: int) -> str:
+    """node as the digits of a _Packed with the given width: a list node
+    is packed, a _Packed one is widened by padding each field."""
+    if isinstance(node, list):
+        coeffs = reversed(node) if _str_safe(width) else map(Decimal, reversed(node))
+        return "".join([str(c).zfill(width) for c in coeffs])
+    digits, length, w, _ = node
+    pad = "0" * (width - w)
+    return pad + pad.join([digits[i:i + w] for i in range(0, length * w, w)])
+
+
+def _product(nodes, lo: int, hi: int):
+    """Product of nodes[lo:hi] by a balanced tree.
+
+    A node is a list of nonnegative coefficients or a _Packed.  A large
+    product packs both factors with one field width and multiplies them
+    as Decimals.  Every coefficient is >= 0 and they sum to the value at
+    t = 1, so no product coefficient exceeds the product of the factors'
+    values at 1: a width of that many digits holds each, and no field
+    carries into the next.  The digits are bounded from the bit length
+    (log10 2 < 0.30103), never short and at most one too many.
+    """
+    if hi - lo == 1:
+        return nodes[lo]
+    mid = (lo + hi) // 2
+    a, b = _product(nodes, lo, mid), _product(nodes, mid, hi)
+    small_a, small_b = isinstance(a, list), isinstance(b, list)
+    length_a = len(a) if small_a else a.length
+    length_b = len(b) if small_b else b.length
+    if small_a and small_b and length_a + length_b <= _SMALL_PRODUCT:
+        return poly_mul(a, b)
+    value = (sum(a) if small_a else a.value) * (sum(b) if small_b else b.value)
+    length, width = length_a + length_b - 1, value.bit_length() * 30103 // 100000 + 1
+    digits = _EXACT.multiply(Decimal(_fields(a, width)), Decimal(_fields(b, width)))
+    return _Packed(str(digits).zfill(length * width), length, width, value)
+
+
 def _poly_of(blocks) -> list:
-    return reduce(poly_mul, map(poly_D, blocks), [1])
+    """The product of poly_D over the blocks of decompose (never other
+    vectors).  Each factor is taken without its t^len(A) zero prefix, the
+    lowest term of D(A) when every entry after the first is >= 2; the
+    prefixes come back once, at the end."""
+    if not blocks:
+        return [1]
+    root = _product([poly_D(A)[len(A):] for A in blocks], 0, len(blocks))
+    prefix = [0] * sum(map(len, blocks))
+    if isinstance(root, list):
+        return prefix + root
+    digits, length, width, _ = root
+    to_int = int if _str_safe(width) else (lambda field: int(Decimal(field)))
+    return prefix + [to_int(digits[i - width:i]) for i in range(length * width, 0, -width)]
 
 
 def fib_poly(n: int) -> list:

@@ -272,6 +272,22 @@ def test_minimal_of_a_large_k_answers_at_once():
     assert count_F(json.loads(proc.stdout)["M"]) == 5040
 
 
+@pytest.mark.parametrize("k, count", [(5040, "4401936"), (10 ** 30, "sqrt(K/2)")])
+def test_enumerate_over_budget_is_refused_at_once(k, count):
+    proc = run_process("enumerate", str(k), timeout=2)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "K=%d" % k in proc.stderr and count in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_enumerate_within_budget_answers():
+    proc = run_process("enumerate", "720", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    numbers = [int(tok) for tok in proc.stdout.split()]
+    assert len(numbers) == psi(720) == 75624
+    assert all(count_F(n) == 720 for n in numbers[:50] + numbers[-50:])
+
+
 def test_psi_sigma_of_a_large_k_answers_at_once():
     proc = run_process("psi-sigma", "720720", timeout=5)
     assert proc.returncode == 0, proc.stderr

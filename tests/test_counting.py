@@ -1,13 +1,16 @@
+import sys
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibpart import oracle
+from fibpart import counting, oracle
 from fibpart.cli import _record
 from fibpart.contfrac import format_word, word_of
 from fibpart.counting import (assoc_multivector, assoc_vector, canonical_form,
                               chi, continuant, count_F, count_Fh, decompose,
-                              fib_poly, poly_D, poly_eval)
+                              fib_poly, poly_D, poly_eval, poly_mul)
 from fibpart.fibcore import (_check_two_partition, content, fib,
                              is_two_partition, mu_last, zeckendorf)
 from fibpart.orbits import is_essential
@@ -15,6 +18,11 @@ from strategies import long_block_numbers
 
 small_vectors = st.lists(st.integers(min_value=1, max_value=6),
                          min_size=1, max_size=7).map(tuple)
+
+# the shape of every decompose block: a first entry >= 1, then entries >= 2
+block_vectors = st.builds(lambda a, rest: (a,) + tuple(rest),
+                          st.integers(min_value=1, max_value=9),
+                          st.lists(st.integers(min_value=2, max_value=9), max_size=12))
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +39,11 @@ def multivector_by_definition(I) -> tuple:
         out.append(alphas[pos:pos + len(block)])
         pos += len(block)
     return tuple(out)
+
+
+def poly_by_sequential_product(blocks) -> list:
+    """The block product as a left fold of dense schoolbook products."""
+    return reduce(poly_mul, map(poly_D, blocks), [1])
 
 
 def chi_via_poly(n: int) -> int:
@@ -177,10 +190,90 @@ def test_fib_poly_single_fibonacci():
 
 
 def test_fib_poly_base_cases():
-    from fibpart.counting import poly_mul
     assert fib_poly(0) == [1]
     # 100 has components (2,2) and (3); its polynomial is their product
     assert fib_poly(100) == poly_mul(poly_D((2, 2)), poly_D((3,)))
+
+
+@given(block_vectors)
+@settings(max_examples=300)
+def test_packing_lemma(A):
+    """On block-shaped vectors every coefficient of D(A) is >= 0 and they
+    sum to continuant(A), which the product tree's field width rests on;
+    the lowest term is t^len(A), which its prefix stripping rests on.  The
+    tree only ever sees decompose blocks, which have this shape."""
+    coeffs = poly_D(A)
+    assert min(coeffs) >= 0
+    assert sum(coeffs) == continuant(A)
+    assert coeffs[:len(A) + 1] == [0] * len(A) + [1]
+
+
+def test_packing_lemma_needs_the_block_shape():
+    assert poly_D((1, 1, 1)) == [0, 0, 0, -1]
+
+
+def _single_index_blocks(sizes):
+    """n whose blocks are the one-entry vectors (a,) for a in sizes, so
+    that the stripped factor of each is a coefficients long."""
+    indices, i = [], 0
+    for a in sizes:
+        i += 2 * a - 1             # an odd gap, and entry gap//2 + 1 == a
+        indices.append(i)
+    return content(tuple(indices))
+
+
+def _cutoff_crossing_sizes():
+    # with S the cutoff, the 16 leaves pair into: lists, and one pair
+    # packed from two lists (level 1); a list pair, a packed x list pair
+    # and two pairs packed from lists (level 2); list x packed and
+    # packed x packed (level 3); packed x packed at the root
+    S = counting._SMALL_PRODUCT
+    quarter = S // 4
+    return [1, 2, 2, 3, S + 8, 2, quarter, quarter] + [quarter + 1] * 8
+
+
+@pytest.mark.parametrize("n", [0, 1, fib(30), fib(31), 100, fib(40) + fib(35),
+                               _single_index_blocks(range(40, 1, -1))])
+def test_fib_poly_matches_the_sequential_product(n):
+    assert fib_poly(n) == poly_by_sequential_product(decompose(n)[1])
+
+
+def test_fib_poly_crosses_the_cutoff_at_several_levels():
+    sizes = _cutoff_crossing_sizes()
+    n = _single_index_blocks(sizes)
+    blocks = decompose(n)[1]
+    assert blocks == tuple((a,) for a in sizes)
+    assert fib_poly(n) == poly_by_sequential_product(blocks)
+
+
+@pytest.mark.parametrize("k", [500, 1000, 2000])
+def test_fib_poly_matches_the_sequential_product_powers_of_three(k):
+    n = 3 ** k
+    assert fib_poly(n) == poly_by_sequential_product(decompose(n)[1])
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=2 ** 4096), long_block_numbers()))
+@settings(max_examples=8, deadline=None)
+def test_fib_poly_matches_the_sequential_product_big(n):
+    # the sequential product takes about a second at 4096 bits
+    assert fib_poly(n) == poly_by_sequential_product(decompose(n)[1])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int<->str digit limit")
+def test_fib_poly_under_the_least_digit_limit():
+    n = 3 ** 4000                  # count_F(n) has 833 digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        capped = fib_poly(n)
+        sys.set_int_max_str_digits(0)
+        lifted = fib_poly(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capped == lifted
+    assert sum(capped) == count_F(n)
+    assert poly_eval(capped, -1) == chi(n)
 
 
 def test_count_F_examples():
