@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from . import chi_analysis, contfrac, counting, enumeration, oracle, orbits
 
@@ -20,11 +21,6 @@ _GENERATORS = {
 }
 
 
-# enumerate builds about 18 microseconds' worth per essential number
-# (list_essential(720): 75624 numbers in 1.4 s); past this many it refuses
-_ENUMERATE_BUDGET = 100_000
-
-
 class UsageError(Exception):
     pass
 
@@ -33,21 +29,36 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
-def _check_scan_size(value: int, token: str, limit_bits: int):
-    if value.bit_length() > limit_bits:
-        raise UsageError(
-            "%s: scan size %d exceeds the --limit-bits cap of %d bits"
-            % (token, value, limit_bits))
+# ---------------------------------------------------------------------------
+# the work budget: a command whose work grows with an argument computes its cost
+# from the arguments and is refused (exit 2) past it.  Times on CPython 3.11.
+
+# numbers scanned or built: plot ~12 us, runs ~10 us, hull ~7.5 us and
+# enumerate ~18 us a number, minimal ~17 us a letter (plot 0 199999: 2.3 s).
+# plot and runs count each number words(HI) times, once per 64 bits, as its
+# chi and count grow about so with its width (~18 us per 64 bits at 1000 bits)
+_NUMBERS = 200_000
+# oracle-check brute-forces every n <= N, 0.1-0.3 ms each: 4.7 s at N = 20000
+_BRUTE_FORCED = 25_000
+# stability's digit DP, 0.3-0.45 us per unit of R*K^2 (stability 200 100:
+# 0.63 s); R^2/64 more bounds its table out to f_(R+1), ~R^2/3 bits
+_DP_UNITS = 8_000_000
+# psi and psi-sigma factor K by isqrt(K) trial divisions, ~0.2 us each; psi
+# adds d(K)^2 divisor steps, 2.2 s at the 6720 divisors of 963761198400
+_TRIAL_DIVISIONS = 1_200_000
 
 
-def _check_fib_index(r: int, limit_bits: int):
-    """Refuse R when f_{R+1} is wider than the cap, without building it."""
-    a, b = 1, 1                    # f_{i-1}, f_i
-    for _ in range(r):
-        a, b = b, a + b
-        if b.bit_length() > limit_bits:
-            raise UsageError("R=%d: f_(R+1) is wider than the --limit-bits cap of %d bits"
-                             % (r, limit_bits))
+def _guard(args, cost, budget, what):
+    """Refuse, before any work, a command whose cost passes its budget."""
+    if cost > budget:
+        named = " ".join("%s=%d" % (key.upper(), v) for key, v in vars(args).items()
+                         if type(v) is int)
+        raise UsageError("%s %s: %s, over the budget of %d"
+                         % (args.command, named, what % cost, budget))
+
+
+def _words(n):
+    return n.bit_length() // 64 + 1
 
 
 def _record(n: int, with_poly: bool) -> dict:
@@ -116,38 +127,30 @@ def _cmd_orbit(args):
 
 
 def _cmd_psi(args):
-    print(enumeration.psi(args.k))
-    return 0
-
-
-def _cmd_psi_sigma(args):
-    print(enumeration.psi_sigma(args.k))
+    _guard(args, isqrt(args.k), _TRIAL_DIVISIONS, "isqrt(K) = %d trial divisions")
+    print((enumeration.psi if args.command == "psi" else enumeration.psi_sigma)(args.k))
     return 0
 
 
 def _cmd_enumerate(args):
-    # psi(K) >= phi(K) >= sqrt(K/2): past 2 * budget^2 the count itself,
-    # which factors K by trial division, need not be run
-    if args.k > 2 * _ENUMERATE_BUDGET ** 2:
-        raise UsageError("K=%d: psi(K) >= sqrt(K/2) exceeds the enumerate budget of %d numbers"
-                         % (args.k, _ENUMERATE_BUDGET))
-    count = enumeration.psi(args.k)
-    if count > _ENUMERATE_BUDGET:
-        raise UsageError("K=%d: psi(K) = %d essential numbers exceed the enumerate budget of %d"
-                         % (args.k, count, _ENUMERATE_BUDGET))
+    # psi(K) >= phi(K) >= sqrt(K/2): a K this large need not be factored
+    _guard(args, isqrt(args.k // 2), _NUMBERS, "psi(K) >= sqrt(K/2) >= %d numbers")
+    _guard(args, enumeration.psi(args.k), _NUMBERS, "psi(K) = %d numbers")
     print(" ".join(str(n) for n in enumeration.list_essential(args.k)))
     return 0
 
 
 def _cmd_minimal(args):
+    _guard(args, args.k - 1, _NUMBERS, "K - 1 = %d letters")
     m = enumeration.minimal_essential(args.k)
     _emit({"k": args.k, "M": m, "word": contfrac.format_word(contfrac.word_of(m))})
     return 0
 
 
 def _cmd_stability(args):
-    _check_fib_index(args.r, args.limit_bits)
-    print(enumeration.stability_count(args.r, args.k))
+    r, k = args.r, args.k
+    _guard(args, r * k * k + r * r // 64, _DP_UNITS, "R*K^2 + R^2/64 = %d DP units")
+    print(enumeration.stability_count(r, k))
     return 0
 
 
@@ -158,7 +161,8 @@ def _cmd_zeros(args):
 
 
 def _cmd_runs(args):
-    _check_scan_size(args.hi, "HI", args.limit_bits)
+    _guard(args, (args.hi - args.lo - 1) * _words(args.hi), _NUMBERS,
+           "(HI - LO - 1) * words(HI) = %d numbers")
     out = []
     for rep in chi_analysis._runs(args.lo, args.hi):
         d = {"start": rep.start, "length": rep.length, "kind": rep.kind}
@@ -170,7 +174,12 @@ def _cmd_runs(args):
 
 
 def _cmd_hull(args):
-    _check_fib_index(args.r, args.limit_bits)
+    # f_(R-1) + 1 numbers; f steps only until it passes the budget, so no
+    # R is refused by building f_R
+    f, g, i = 1, 1, 0              # f_i, f_(i+1)
+    while i < args.r - 1 and f < _NUMBERS:
+        f, g, i = g, f + g, i + 1
+    _guard(args, f + 1, _NUMBERS, "f_(R-1) + 1 >= %d numbers")
     pred = chi_analysis.hull_points(args.r)
     comp = chi_analysis.computed_hull_points(args.r)
     _emit({"r": args.r,
@@ -183,7 +192,8 @@ def _cmd_hull(args):
 def _cmd_plot(args):
     if args.lo > args.hi:
         raise UsageError("LO must not exceed HI")
-    _check_scan_size(args.hi, "HI", args.limit_bits)
+    _guard(args, (args.hi - args.lo + 1) * _words(args.hi), _NUMBERS,
+           "(HI - LO + 1) * words(HI) = %d numbers")
     out = sys.stdout
     out.write("n,F,chi\n")
     for n in range(args.lo, args.hi + 1):
@@ -193,7 +203,7 @@ def _cmd_plot(args):
 
 
 def _cmd_oracle_check(args):
-    _check_scan_size(args.n, "N", args.limit_bits)
+    _guard(args, args.n + 1, _BRUTE_FORCED, "N + 1 = %d brute-forced numbers")
     for n in range(args.n + 1):
         got = counting.fib_poly(n)
         want = oracle.brute_poly(n, bound=max(args.n, oracle.DEFAULT_BOUND))
@@ -227,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibpart",
         description="Count and dissect partitions into distinct Fibonacci numbers.")
-    parser.add_argument("--limit-bits", type=int, default=128, metavar="BITS",
-                        help="refuse scan inputs wider than this many bits (default 128)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apply", required=True, metavar="GENS",
                    help="comma-separated generators, applied left to right")
     add("psi", _cmd_psi, "number of essential k-numbers").add_argument("k", type=_positive)
-    add("psi-sigma", _cmd_psi_sigma, "number of commutative essential k-numbers"
+    add("psi-sigma", _cmd_psi, "number of commutative essential k-numbers"
         ).add_argument("k", type=_positive)
     add("enumerate", _cmd_enumerate, "all essential k-numbers").add_argument("k", type=_positive)
     add("minimal", _cmd_minimal, "minimal essential k-number and its word"

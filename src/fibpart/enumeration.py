@@ -12,7 +12,7 @@ Fibonacci window have count k is one call of counting._count_upto.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, gcd, isqrt
+from math import comb, gcd, inf, isqrt
 
 from .contfrac import _word_of, cf_expand
 from .counting import _count_upto, _digit_step, decompose
@@ -123,22 +123,11 @@ def cmp_triangle(x, y) -> int:
     return -1 if len(xr) > len(yr) else 1
 
 
-class _TriangleKey:
-    """Sort key wrapping cmp_triangle over a letter's expansion vector."""
-
-    __slots__ = ("vec",)
-
-    def __init__(self, letter):
-        self.vec = cf_expand(letter)
-
-    def __lt__(self, other):
-        return cmp_triangle(self.vec, other.vec) < 0
-
-
 def commutative_normal_form(word) -> tuple:
-    """Letters sorted by the right-aligned order of their expansion
-    vectors; equal letters keep their input order."""
-    return tuple(sorted(word, key=_TriangleKey))
+    """Letters sorted by cmp_triangle on their expansion vectors, keyed by
+    the reversed vector closed by an infinity (of two nested vectors the
+    longer is smaller); equal letters keep their input order."""
+    return tuple(sorted(word, key=lambda g: cf_expand(g)[::-1] + (inf,)))
 
 
 def circle(n1: int, n2: int) -> int:
@@ -152,16 +141,18 @@ def circle(n1: int, n2: int) -> int:
     return theta(commutative_normal_form(_word_of(blocks1) + _word_of(blocks2)))
 
 
-def _factor_multisets(k, cap=None):
-    """Non-increasing tuples of factors >= 2 whose product is k."""
+def _factor_multisets(k, factors=None):
+    """Non-increasing tuples of factors >= 2 whose product is k, drawn
+    from the increasing divisors of k in factors (default: all but 1)."""
     if k == 1:
         yield ()
         return
-    top = k if cap is None else min(k, cap)
-    for b in range(top, 1, -1):
-        if k % b == 0:
-            for rest in _factor_multisets(k // b, b):
-                yield (b,) + rest
+    if factors is None:
+        factors = _divisors(k)[1:]
+    for i in range(len(factors) - 1, -1, -1):
+        rest = k // factors[i]
+        for tail in _factor_multisets(rest, [d for d in factors[:i + 1] if rest % d == 0]):
+            yield (factors[i],) + tail
 
 
 def _normal_words(multisets, letters):

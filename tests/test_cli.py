@@ -176,13 +176,13 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_limit_bits_cap(capsys):
-    big = str(1 << 200)
-    code, _, err = run(capsys, "runs", "0", big)
-    assert code == 2 and "limit-bits" in err
-    code, _, err = run(capsys, "--limit-bits", "250", "plot", big, big)
-    # allowed through the cap; the scan itself is a single row here
-    assert code == 0
+def test_a_200_bit_scan_is_refused_and_one_row_answers(capsys):
+    n = 1 << 200
+    code, out, err = run(capsys, "runs", "0", str(n))
+    assert code == 2 and not out and "HI=%d" % n in err
+    # one row of a 200-bit n, four 64-bit words of the budget
+    code, out, _ = run(capsys, "plot", str(n), str(n))
+    assert code == 0 and out.split() == ["n,F,chi", "%d,%d,%d" % (n, count_F(n), chi(n))]
 
 
 def test_zeros_is_not_capped(capsys):
@@ -193,7 +193,7 @@ def test_zeros_is_not_capped(capsys):
 
 
 def test_closed_form_paths_ignore_the_cap(capsys):
-    # a number far beyond 128 bits still works on non-scan paths
+    # a 200-bit number works on the paths whose work does not grow with it
     n = (1 << 200) + 7
     code, out, _ = run(capsys, "info", str(n))
     assert code == 0
@@ -256,8 +256,58 @@ def test_zeros_answers_at_40_bits():
 def test_over_cap_index_is_refused_at_once(argv):
     proc = subprocess.run(_argv(*argv), capture_output=True, text=True, timeout=5,
                           env=_env(), preexec_fn=_cap_address_space)
-    assert proc.returncode == 2 and "limit-bits" in proc.stderr
+    assert proc.returncode == 2 and "R=200000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# every input whose work passes its budget, with the argument its message names
+REFUSED = [
+    (("hull", "60"), "R=60"),
+    (("hull", "200000"), "R=200000"),
+    (("stability", "200000", "2"), "R=200000"),
+    (("runs", "0", "1000000000000"), "HI=1000000000000"),
+    (("plot", "0", "1000000000000"), "HI=1000000000000"),
+    (("oracle-check", "200000"), "N=200000"),
+    (("stability", "180", "1000"), "K=1000"),
+    (("minimal", "720720"), "K=720720"),
+    (("psi", "2305843009213693951"), "K=2305843009213693951"),
+    (("psi-sigma", "2305843009213693951"), "K=2305843009213693951"),
+    (("enumerate", "5040"), "K=5040"),
+]
+
+
+@pytest.mark.parametrize("argv, named", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_over_budget_input_is_refused_at_once(argv, named):
+    proc = subprocess.run(_argv(*argv), capture_output=True, text=True, timeout=2,
+                          env=_env(), preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and not proc.stdout
+    assert named in proc.stderr and "budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _plot_is_right(out):
+    rows = [tuple(map(int, line.split(","))) for line in out.split()[1:]]
+    return len(rows) == 100000 and all(rows[n] == (n, count_F(n), chi(n))
+                                       for n in range(0, 100000, 9999))
+
+
+# inputs inside the budget, each with a check of its answer
+ANSWERED = [
+    (("hull", "25"), lambda out: json.loads(out)["match"] is True),
+    (("plot", "0", "99999"), _plot_is_right),
+    (("runs", "0", "100000"), lambda out: sum(r["length"] for r in json.loads(out)) == 99999),
+    (("minimal", "55440"), lambda out: count_F(json.loads(out)["M"]) == 55440),
+    (("stability", "200", "100"), lambda out: int(out) == 2 * psi(100)),
+    (("stability", "183", "30"), lambda out: int(out) == 2 * psi(30)),
+    (("psi-sigma", "1099511627776"), lambda out: int(out) == 118487640825155),
+]
+
+
+@pytest.mark.parametrize("argv, check", ANSWERED, ids=[" ".join(a) for a, _ in ANSWERED])
+def test_input_inside_the_budget_answers(argv, check):
+    proc = run_process(*argv, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert check(proc.stdout)
 
 
 def test_psi_of_a_large_k_answers_at_once():

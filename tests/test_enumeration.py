@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibpart.contfrac import cf_expand, delta
+from fibpart.contfrac import cf_expand, delta, eval_cf
 from fibpart.counting import count_F
 from fibpart.enumeration import (bell, circle, cmp_triangle,
                                  commutative_normal_form, commutative_words,
@@ -120,6 +121,13 @@ def test_cmp_triangle_is_an_order(x, y, z):
     assert (cmp_triangle(x, y) == 0) == (x == y)
     if cmp_triangle(x, y) <= 0 and cmp_triangle(y, z) <= 0:
         assert cmp_triangle(x, z) <= 0
+    # the sort key of commutative_normal_form puts each pair of letters in
+    # this order (a vector with every entry >= 2 is a letter in (0, 1))
+    for u, v in ((x, y), (y, z), (x, z)):
+        if min(u + v) >= 2:
+            gu, gv = eval_cf(u), eval_cf(v)
+            want = (gu, gv) if cmp_triangle(u, v) <= 0 else (gv, gu)
+            assert commutative_normal_form((gu, gv)) == want
 
 
 def test_normal_form_examples():
@@ -184,6 +192,17 @@ def test_psi_sigma_closed_forms():
     for p, q in [(2, 3), (3, 5), (2, 7), (3, 7)]:
         assert psi_sigma(p * q) == bell(2) * (p - 1) * (q - 1)
     assert psi_sigma(2 * 3 * 5) == bell(3) * 1 * 2 * 4
+
+
+def test_psi_sigma_of_two_to_the_40():
+    # a second route, a knapsack over the divisors 2^e: a multiset of m
+    # letters of denominator 2^e is one of C(phi(2^e) + m - 1, m)
+    ways = [1] + [0] * 40
+    for e in range(1, 41):
+        phi = 2 ** (e - 1)
+        ways = [sum(ways[n - e * m] * comb(phi + m - 1, m) for m in range(n // e + 1))
+                for n in range(41)]
+    assert psi_sigma(2 ** 40) == ways[40] == 118487640825155
 
 
 def test_psi_sigma_counts_commutative_words():
