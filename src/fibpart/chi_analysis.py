@@ -11,16 +11,11 @@ count_zero_chi is one call of counting._count_upto, the Zeckendorf digit
 engine that also runs enumeration.stability_count; the runs scan chi.
 """
 
-import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import groupby
 
 from .counting import _count_upto, chi, count_F
 from .fibcore import fib
-
-# h_rec's table; grown under the lock, read without it (as fibcore._FIB)
-_H_VALUES = [0, 0, 0, 0, 1]
-_H_GROW = threading.Lock()
 
 
 def h_rec(r: int) -> int:
@@ -29,13 +24,9 @@ def h_rec(r: int) -> int:
     chi(0) = 1, so the window [0, f_r - 1] gives the same count."""
     if r < 0:
         raise ValueError("need r >= 0, got %r" % (r,))
-    vals = _H_VALUES
-    if r < len(vals):
-        return vals[r]
-    with _H_GROW:
-        while len(vals) <= r:
-            j = len(vals)
-            vals.append(fib(j - 5) + 1 + vals[j - 1] + 2 * vals[j - 4])
+    vals = [0, 0, 0, 0, 1]
+    for j in range(5, r + 1):
+        vals.append(fib(j - 5) + 1 + vals[j - 1] + 2 * vals[j - 4])
     return vals[r]
 
 
@@ -60,13 +51,9 @@ def x_sum(N: int) -> int:
     return N - count_zero_chi(N)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """A maximal run of equal chi-vanishing inside a scanned range."""
-    start: int
-    length: int
-    kind: str                      # "zero" or "nonzero"
-    values: tuple = field(default_factory=tuple)   # chi values, nonzero runs only
+# a maximal run of equal chi-vanishing inside a scanned range: kind is
+# "zero" or "nonzero", values the chi values of a nonzero run only
+RunReport = namedtuple("RunReport", "start length kind values", defaults=((),))
 
 
 def _runs(lo, hi) -> list:

@@ -43,9 +43,12 @@ _BRUTE_FORCED = 25_000
 # stability's digit DP, 0.3-0.45 us per unit of R*K^2 (stability 200 100:
 # 0.63 s); R^2/64 more bounds its table out to f_(R+1), ~R^2/3 bits
 _DP_UNITS = 8_000_000
-# psi and psi-sigma factor K by isqrt(K) trial divisions, ~0.2 us each; psi
-# adds d(K)^2 divisor steps, 2.2 s at the 6720 divisors of 963761198400
+# psi and psi-sigma factor K by isqrt(K) trial divisions, ~0.2 us each, then
+# take d(K)^2/2 divisor steps: 2.1 / 2.8 s at the 6720 divisors of 963761198400
 _TRIAL_DIVISIONS = 1_200_000
+# poly and info --poly print top index + 1 coefficients, none above count_F(N):
+# ~0.1 us a digit of that bound, product and JSON (poly 3**6000: 1.7e7, 1.9 s)
+_OUTPUT_DIGITS = 20_000_000
 
 
 def _guard(args, cost, budget, what):
@@ -59,6 +62,14 @@ def _guard(args, cost, budget, what):
 
 def _words(n):
     return n.bit_length() // 64 + 1
+
+
+def _guard_poly(args):
+    """Refuse, before any product, a polynomial past its output budget."""
+    indices, blocks = counting.decompose(args.n)
+    _guard(args, (indices[-1] + 1 if indices else 1) * len(str(counting._count_of(blocks))),
+           _OUTPUT_DIGITS, "(top index + 1) * digits(count_F(N)) = %d digits")
+    return blocks
 
 
 def _record(n: int, with_poly: bool) -> dict:
@@ -77,12 +88,14 @@ def _record(n: int, with_poly: bool) -> dict:
 
 
 def _cmd_info(args):
+    if args.poly:
+        _guard_poly(args)
     _emit(_record(args.n, args.poly))
     return 0
 
 
 def _cmd_poly(args):
-    _emit(counting.fib_poly(args.n))
+    _emit(counting._poly_of(_guard_poly(args)))
     return 0
 
 
@@ -163,13 +176,9 @@ def _cmd_zeros(args):
 def _cmd_runs(args):
     _guard(args, (args.hi - args.lo - 1) * _words(args.hi), _NUMBERS,
            "(HI - LO - 1) * words(HI) = %d numbers")
-    out = []
-    for rep in chi_analysis._runs(args.lo, args.hi):
-        d = {"start": rep.start, "length": rep.length, "kind": rep.kind}
-        if rep.kind == "nonzero":
-            d["values"] = list(rep.values)
-        out.append(d)
-    _emit(out)
+    # a zero run's record leaves out its empty values
+    _emit([dict(zip(rep._fields, rep if rep.kind == "nonzero" else rep[:3]))
+           for rep in chi_analysis._runs(args.lo, args.hi)])
     return 0
 
 
@@ -206,7 +215,7 @@ def _cmd_oracle_check(args):
     _guard(args, args.n + 1, _BRUTE_FORCED, "N + 1 = %d brute-forced numbers")
     for n in range(args.n + 1):
         got = counting.fib_poly(n)
-        want = oracle.brute_poly(n, bound=max(args.n, oracle.DEFAULT_BOUND))
+        want = oracle.brute_poly(n)
         if got != want:
             raise ValueError(
                 "counting polynomial mismatch at n=%d: closed form %r, brute force %r"

@@ -2,9 +2,9 @@
 
 delta is multiplicative over letters, so the essential numbers with
 partition count k correspond to words whose letter denominators multiply
-to k.  Their number Psi(k) obeys a totient divisor recurrence; collapsing
-letter order leaves Psi_Sigma(k) commutative classes, a sum over the factor
-multisets of k.  The minimal essential k-number has the least top index, a
+to k.  Over the divisors of k, factored once per query, their number
+Psi(k) obeys a totient recurrence and the Psi_Sigma(k) commutative classes
+a knapsack.  The minimal essential k-number has the least top index, a
 sum of letter weights, so theta runs on a few words.  How many n of one
 Fibonacci window have count k is one call of counting._count_upto.
 """
@@ -12,7 +12,7 @@ Fibonacci window have count k is one call of counting._count_upto.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, gcd, inf, isqrt
+from math import comb, gcd, inf
 
 from .contfrac import _word_of, cf_expand
 from .counting import _count_upto, _digit_step, decompose
@@ -20,60 +20,59 @@ from .fibcore import fib
 from .orbits import _is_essential, is_f_prime, theta
 
 
+def _lattice(k):
+    """(divisors, phi): the increasing divisors of k and their totients.  k
+    is factored once, by trial division; phi(p^j) = p^j - p^j // p."""
+    phi, p = {1: 1}, 2
+    while k > 1:
+        if p * p > k:
+            p = k                  # no factor up to sqrt(k) is left: k is prime
+        e = 0
+        while k % p == 0:
+            k, e = k // p, e + 1
+        if e:
+            phi = {d * p ** j: f * (p ** j - p ** j // p)
+                   for d, f in phi.items() for j in range(e + 1)}
+        p += 1
+    return sorted(phi), phi
+
+
 def euler_phi(n: int) -> int:
-    """Euler's totient by trial-division factoring."""
+    """Euler's totient, read off the divisor lattice of n."""
     if n < 1:
         raise ValueError("totient needs n >= 1, got %r" % (n,))
-    out = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-def _divisors(k):
-    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
-    return small + [k // d for d in reversed(small) if d * d != k]
+    return _lattice(n)[1][n]
 
 
 def psi(k: int) -> int:
-    """Number of essential k-numbers: Psi(1) = 1 and
-    Psi(k) = sum over divisors r > 1 of Psi(k/r) * phi(r), run over the
-    sorted divisors of k (trial division up to sqrt(k))."""
+    """Number of essential k-numbers: Psi(1) = 1 and Psi(k) = the sum over
+    the divisors r > 1 of Psi(k/r) * phi(r), run up the divisors of k."""
     if k < 1:
         raise ValueError("psi needs k >= 1, got %r" % (k,))
-    divisors = _divisors(k)
-    phi = {r: euler_phi(r) for r in divisors}
+    divisors, phi = _lattice(k)
     table = {1: 1}
     for i, d in enumerate(divisors[1:], 1):
         table[d] = sum(table[d // r] * phi[r] for r in divisors[1:i + 1] if d % r == 0)
     return table[k]
 
 
-def ordered_bell(m: int) -> int:
-    """Ordered set partition counts: B(m) = sum C(m,r) B(r) for r < m."""
+def _bell(m, shift):
     if m < 0:
         raise ValueError("need m >= 0")
     vals = [1]
     for j in range(1, m + 1):
-        vals.append(sum(comb(j, r) * vals[r] for r in range(j)))
+        vals.append(sum(comb(j - shift, r) * vals[r] for r in range(j)))
     return vals[m]
+
+
+def ordered_bell(m: int) -> int:
+    """Ordered set partition counts: B(m) = sum C(m,r) B(r) for r < m."""
+    return _bell(m, 0)
 
 
 def bell(m: int) -> int:
     """Set partition counts: b(m) = sum C(m-1,r) b(r) for r < m."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    vals = [1]
-    for j in range(1, m + 1):
-        vals.append(sum(comb(j - 1, r) * vals[r] for r in range(j)))
-    return vals[m]
+    return _bell(m, 1)
 
 
 def _letters(b):
@@ -84,14 +83,15 @@ def words_with_delta(k: int):
     """Yield every word whose denominators multiply to k (Psi(k) of them)."""
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
-    if k == 1:
-        yield ()
-        return
-    for b in _divisors(k)[1:]:
-        heads = _letters(b)
-        for rest in words_with_delta(k // b):
-            for head in heads:
-                yield (head,) + rest
+    letters = {b: _letters(b) for b in _lattice(k)[0][1:]}
+
+    def words(m):
+        if m == 1:
+            yield ()
+        yield from ((head,) + rest for b, heads in letters.items() if m % b == 0
+                    for rest in words(m // b) for head in heads)
+
+    yield from words(k)
 
 
 def list_essential(k: int) -> tuple:
@@ -141,14 +141,11 @@ def circle(n1: int, n2: int) -> int:
     return theta(commutative_normal_form(_word_of(blocks1) + _word_of(blocks2)))
 
 
-def _factor_multisets(k, factors=None):
+def _factor_multisets(k, factors):
     """Non-increasing tuples of factors >= 2 whose product is k, drawn
-    from the increasing divisors of k in factors (default: all but 1)."""
+    from the increasing divisors of k > 1 in factors (none when k == 1)."""
     if k == 1:
         yield ()
-        return
-    if factors is None:
-        factors = _divisors(k)[1:]
     for i in range(len(factors) - 1, -1, -1):
         rest = k // factors[i]
         for tail in _factor_multisets(rest, [d for d in factors[:i + 1] if rest % d == 0]):
@@ -169,22 +166,24 @@ def commutative_words(k: int):
     denominator product k (Psi_Sigma(k) of them)."""
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
-    yield from _normal_words(_factor_multisets(k), _letters)
+    yield from _normal_words(_factor_multisets(k, _lattice(k)[0][1:]), _letters)
 
 
 def psi_sigma(k: int) -> int:
     """Number of commutative essential k-numbers: the sum over the factor
-    multisets of k of the product of C(phi(b) + m_b - 1, m_b)."""
+    multisets of k of the product of C(phi(b) + m_b - 1, m_b).  A knapsack:
+    the pass of factor b runs down the divisors, so it reads counts without b."""
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
-    phi = {b: euler_phi(b) for b in _divisors(k)}
-    total = 0
-    for factors in _factor_multisets(k):
-        term = 1
-        for b, mult in Counter(factors).items():
-            term *= comb(phi[b] + mult - 1, mult)
-        total += term
-    return total
+    divisors, phi = _lattice(k)
+    count = {d: int(d == 1) for d in divisors}
+    for i, b in enumerate(divisors[1:], 1):
+        for d in [d for d in reversed(divisors[i:]) if d % b == 0]:
+            q, m = d, 0
+            while q % b == 0:
+                q, m = q // b, m + 1
+                count[d] += comb(phi[b] + m - 1, m) * count[q]
+    return count[k]
 
 
 def minimal_essential(k: int) -> int:
@@ -197,13 +196,14 @@ def minimal_essential(k: int) -> int:
     """
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
+    divisors = _lattice(k)[0][1:]
     light, lightest = {}, {}
-    for b in _divisors(k)[1:]:
+    for b in divisors:
         weight = {g: 2 * (sum(v := cf_expand(g)) - len(v)) + 1
                   for g in _letters(b)}
         light[b] = min(weight.values())
         lightest[b] = [g for g, w in weight.items() if w == light[b]]
-    cost = {f: sum(light[b] for b in f) for f in _factor_multisets(k)}
+    cost = {f: sum(light[b] for b in f) for f in _factor_multisets(k, divisors)}
     top = min(cost.values())
     return min(theta(w) for w in _normal_words([f for f in cost if cost[f] == top], lightest.get))
 

@@ -13,13 +13,13 @@ DEFAULT_BOUND = 100000
 _PRODUCT_BOUND = 10 ** 6
 
 
-def brute_partitions(n: int, bound: int = DEFAULT_BOUND) -> list:
+def brute_partitions(n: int) -> list:
     """Every strictly increasing index tuple whose Fibonacci values sum
     to n, by depth-first search with remaining-sum pruning."""
     if n < 0:
         raise ValueError("need n >= 0, got %r" % (n,))
-    if n > bound:
-        raise ValueError("n=%d exceeds the oracle bound %d" % (n, bound))
+    if n > DEFAULT_BOUND:
+        raise ValueError("n=%d exceeds the oracle bound %d" % (n, DEFAULT_BOUND))
     if n == 0:
         return [()]
     fibs = [0]
@@ -51,10 +51,10 @@ def brute_partitions(n: int, bound: int = DEFAULT_BOUND) -> list:
     return sorted(results)
 
 
-def brute_poly(n: int, bound: int = DEFAULT_BOUND) -> list:
+def brute_poly(n: int) -> list:
     """Partition-count polynomial of n assembled from brute_partitions:
     coefficient h is the number of partitions with h parts."""
-    parts = brute_partitions(n, bound)
+    parts = brute_partitions(n)
     if parts == [()]:
         return [1]
     coeffs = [0] * (max(len(p) for p in parts) + 1)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from fibpart import fibcore, orbits
+from fibpart import enumeration, fibcore, orbits
 
 
 def _record_calls(monkeypatch, real):
@@ -32,3 +32,9 @@ def codec_calls(monkeypatch):
 def theta_calls(monkeypatch):
     """Record every word the package passes to orbits.theta."""
     return _record_calls(monkeypatch, orbits.theta)
+
+
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """Record every k the package factors by enumeration._lattice."""
+    return _record_calls(monkeypatch, enumeration._lattice)

@@ -13,7 +13,7 @@ from fibpart.cli import main
 from fibpart.contfrac import parse_word
 from fibpart.counting import chi, count_F
 from fibpart.enumeration import psi
-from fibpart.fibcore import fib
+from fibpart.fibcore import fib, zeckendorf
 from fibpart.orbits import theta
 
 RECORD_KEYS = {"n", "zeckendorf", "word", "F", "chi", "essential"}
@@ -342,6 +342,50 @@ def test_psi_sigma_of_a_large_k_answers_at_once():
     proc = run_process("psi-sigma", "720720", timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 335122560
+
+
+# the multiset walk that psi_sigma ran before its divisor DP gives the same
+# values, in 4 to 7 s each
+@pytest.mark.parametrize("k, count", [(73513440, 567536117760),
+                                      (10 ** 12, 2595562554126848)])
+def test_psi_sigma_of_a_highly_composite_k_answers_at_once(k, count):
+    proc = run_process("psi-sigma", str(k), timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == count
+
+
+def test_psi_sigma_of_6720_divisors_answers():
+    # the pin is checked against a second route in test_enumeration
+    proc = run_process("psi-sigma", "963761198400", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 3002294805455278080
+
+
+def test_poly_output_past_its_budget_is_refused_at_once():
+    with _no_digit_limit():
+        n = str(3 ** 20000)
+    for argv in (("poly", n), ("info", n, "--poly")):
+        proc = run_process(*argv, timeout=2)
+        assert proc.returncode == 2 and not proc.stdout
+        assert "= 190360709 digits" in proc.stderr and "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_poly_output_inside_its_budget_answers():
+    n = 3 ** 5000
+    proc = run_process("poly", str(n), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    poly = json.loads(proc.stdout)
+    assert sum(poly) == count_F(n) and len(poly) <= zeckendorf(n)[-1] + 1
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the two cost ~12 ms of the ~30 ms the import takes
+    code = "import sys, fibpart.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=30, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +29,35 @@ PSI_SIGMA_FIRST_20 = [1, 1, 2, 3, 4, 4, 6, 7, 9, 8, 10, 12, 12, 12, 16, 18, 16, 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
+def euler_phi_by_trial_division(n: int) -> int:
+    """The totient loop euler_phi ran before the divisor lattice."""
+    out = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    for n in range(1, 10001):
+        assert euler_phi(n) == euler_phi_by_trial_division(n), n
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+def test_each_count_factors_k_once(lattice_calls):
+    for count in (psi, psi_sigma, list_essential, minimal_essential):
+        for k in (1, 12, 360):
+            lattice_calls.clear()
+            count(k)
+            assert lattice_calls == [k], (count.__name__, k)
 
 
 def test_psi_table():
@@ -203,6 +230,72 @@ def test_psi_sigma_of_two_to_the_40():
         ways = [sum(ways[n - e * m] * comb(phi + m - 1, m) for m in range(n // e + 1))
                 for n in range(41)]
     assert psi_sigma(2 ** 40) == ways[40] == 118487640825155
+
+
+def factor_multisets(k, factors):
+    """The walk psi_sigma ran before its divisor DP: the non-increasing
+    tuples of factors >= 2, from the increasing list factors, with product k."""
+    if k == 1:
+        yield ()
+        return
+    for i in range(len(factors) - 1, -1, -1):
+        rest = k // factors[i]
+        for tail in factor_multisets(rest, [d for d in factors[:i + 1] if rest % d == 0]):
+            yield (factors[i],) + tail
+
+
+def psi_sigma_by_walk(k: int) -> int:
+    small = [d for d in range(1, isqrt(k) + 1) if k % d == 0]
+    divisors = sorted(set(small + [k // d for d in small]))[1:]
+    phi = {b: euler_phi_by_trial_division(b) for b in divisors}
+    return sum(prod(comb(phi[b] + m - 1, m) for b, m in Counter(factors).items())
+               for factors in factor_multisets(k, divisors))
+
+
+def test_psi_sigma_matches_the_multiset_walk():
+    for k in list(range(1, 2001)) + [720720, 2 ** 40]:
+        assert psi_sigma(k) == psi_sigma_by_walk(k), k
+
+
+def psi_sigma_by_omega(k: int) -> int:
+    """A route with no multisets and no knapsack.  Omega(n), the number of
+    prime factors of n with multiplicity, is completely additive, so
+    f -> Omega f is a derivation of Dirichlet series.  psi_sigma has the
+    series prod over b >= 2 of (1 - b^-s)^-phi(b), so Omega(n) f(n) is the
+    sum over d | n, d > 1, of h(d) f(n / d), h(d) the sum of Omega(b) phi(b)
+    over the b with a power b^j = d."""
+    primes, n, p = {}, k, 2
+    while n > 1:
+        while n % p == 0:
+            primes[p], n = primes.get(p, 0) + 1, n // p
+        p += 1 if p * p <= n else n - p     # what is left past sqrt is prime
+    lattice = [(1, 0, 1)]                   # (d, Omega(d), phi(d))
+    for p, e in primes.items():
+        lattice = [(d * p ** j, om + j, ph * ((p - 1) * p ** (j - 1) if j else 1))
+                   for d, om, ph in lattice for j in range(e + 1)]
+    lattice.sort()
+    divisors = [d for d, _, _ in lattice]
+    h = dict.fromkeys(divisors, 0)
+    for b, om, ph in lattice[1:]:
+        q = b
+        while k % q == 0:
+            h[q] += om * ph
+            q *= b
+    f = {1: 1}
+    for i, (n, om, _) in enumerate(lattice[1:], 1):
+        total = sum(h[d] * f[n // d] for d in divisors[1:i + 1] if n % d == 0)
+        assert total % om == 0
+        f[n] = total // om
+    return f[k]
+
+
+def test_psi_sigma_matches_the_omega_derivation():
+    for k in range(1, 501):
+        assert psi_sigma(k) == psi_sigma_by_omega(k), k
+    # 963761198400 has 6720 divisors; the multiset walk did not end in 4 min
+    for k, count in ((73513440, 567536117760), (10 ** 12, 2595562554126848),
+                     (963761198400, 3002294805455278080)):
+        assert psi_sigma(k) == psi_sigma_by_omega(k) == count, k
 
 
 def test_psi_sigma_counts_commutative_words():

@@ -1,10 +1,9 @@
-"""The lazily grown tables stay correct when threads grow them at once."""
+"""The lazily grown Fibonacci table stays correct when threads grow it at once."""
 
 import sys
 import threading
 
-from fibpart import chi_analysis, fibcore
-from fibpart.chi_analysis import h_rec
+from fibpart import fibcore
 from fibpart.fibcore import fib
 
 WORKERS = 8
@@ -45,13 +44,3 @@ def test_fib_table_under_threads():
     for base, grown in _grow_together(table, fib, 1000):
         assert all(grown[i] == grown[i - 1] + grown[i - 2]
                    for i in range(base, len(grown)))
-
-
-def test_h_rec_table_under_threads():
-    table = chi_analysis._H_VALUES
-    fib(len(table) + 1500)         # so only h_rec's own table grows here
-    for base, grown in _grow_together(table, h_rec, 1500):
-        want = grown[:base]
-        for j in range(base, len(grown)):
-            want.append(fib(j - 5) + 1 + want[j - 1] + 2 * want[j - 4])
-        assert grown == want

@@ -23,8 +23,9 @@ def test_brute_partitions_are_valid():
 
 
 def test_brute_partitions_bound():
-    with pytest.raises(ValueError, match="123"):
-        oracle.brute_partitions(124, bound=123)
+    for brute in (oracle.brute_partitions, oracle.brute_poly):
+        with pytest.raises(ValueError, match=str(oracle.DEFAULT_BOUND)):
+            brute(oracle.DEFAULT_BOUND + 1)
 
 
 def test_brute_poly_examples():
