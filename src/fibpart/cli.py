@@ -64,38 +64,37 @@ def _words(n):
     return n.bit_length() // 64 + 1
 
 
-def _guard_poly(args):
-    """Refuse, before any product, a polynomial past its output budget."""
+def _poly(args, indices, blocks, count):
+    """N's counting polynomial, refused before any product when its top index
+    + 1 coefficients, none above count = count_F(N), pass the output budget."""
+    _guard(args, (indices[-1] + 1 if indices else 1) * len(str(count)), _OUTPUT_DIGITS,
+           "(top index + 1) * digits(count_F(N)) = %d digits")
+    return counting._poly_of(blocks)
+
+
+def _record(args) -> dict:
     indices, blocks = counting.decompose(args.n)
-    _guard(args, (indices[-1] + 1 if indices else 1) * len(str(counting._count_of(blocks))),
-           _OUTPUT_DIGITS, "(top index + 1) * digits(count_F(N)) = %d digits")
-    return blocks
-
-
-def _record(n: int, with_poly: bool) -> dict:
-    indices, blocks = counting.decompose(n)
     rec = {
-        "n": n,
+        "n": args.n,
         "zeckendorf": list(indices),
         "word": contfrac.format_word(contfrac._word_of(blocks)),
         "F": counting._count_of(blocks),
         "chi": counting._chi_of(blocks),
         "essential": orbits._is_essential(indices),
     }
-    if with_poly:
-        rec["poly"] = counting._poly_of(blocks)
+    if args.poly:
+        rec["poly"] = _poly(args, indices, blocks, rec["F"])
     return rec
 
 
 def _cmd_info(args):
-    if args.poly:
-        _guard_poly(args)
-    _emit(_record(args.n, args.poly))
+    _emit(_record(args))
     return 0
 
 
 def _cmd_poly(args):
-    _emit(counting._poly_of(_guard_poly(args)))
+    indices, blocks = counting.decompose(args.n)
+    _emit(_poly(args, indices, blocks, counting._count_of(blocks)))
     return 0
 
 
@@ -176,9 +175,13 @@ def _cmd_zeros(args):
 def _cmd_runs(args):
     _guard(args, (args.hi - args.lo - 1) * _words(args.hi), _NUMBERS,
            "(HI - LO - 1) * words(HI) = %d numbers")
-    # a zero run's record leaves out its empty values
-    _emit([dict(zip(rep._fields, rep if rep.kind == "nonzero" else rep[:3]))
-           for rep in chi_analysis._runs(args.lo, args.hi)])
+    out = []
+    for rep in chi_analysis._runs(args.lo, args.hi):
+        d = {"start": rep.start, "length": rep.length, "kind": rep.kind}
+        if rep.kind == "nonzero":
+            d["values"] = list(rep.values)
+        out.append(d)
+    _emit(out)
     return 0
 
 

@@ -56,23 +56,24 @@ def psi(k: int) -> int:
     return table[k]
 
 
-def _bell(m, shift):
+def ordered_bell(m: int) -> int:
+    """Ordered set partition counts: B(m) = sum C(m,r) B(r) for r < m."""
     if m < 0:
         raise ValueError("need m >= 0")
     vals = [1]
     for j in range(1, m + 1):
-        vals.append(sum(comb(j - shift, r) * vals[r] for r in range(j)))
+        vals.append(sum(comb(j, r) * vals[r] for r in range(j)))
     return vals[m]
-
-
-def ordered_bell(m: int) -> int:
-    """Ordered set partition counts: B(m) = sum C(m,r) B(r) for r < m."""
-    return _bell(m, 0)
 
 
 def bell(m: int) -> int:
     """Set partition counts: b(m) = sum C(m-1,r) b(r) for r < m."""
-    return _bell(m, 1)
+    if m < 0:
+        raise ValueError("need m >= 0")
+    vals = [1]
+    for j in range(1, m + 1):
+        vals.append(sum(comb(j - 1, r) * vals[r] for r in range(j)))
+    return vals[m]
 
 
 def _letters(b):
@@ -196,14 +197,13 @@ def minimal_essential(k: int) -> int:
     """
     if k < 1:
         raise ValueError("need k >= 1, got %r" % (k,))
-    divisors = _lattice(k)[0][1:]
     light, lightest = {}, {}
-    for b in divisors:
+    for b in _lattice(k)[0][1:]:
         weight = {g: 2 * (sum(v := cf_expand(g)) - len(v)) + 1
                   for g in _letters(b)}
         light[b] = min(weight.values())
         lightest[b] = [g for g, w in weight.items() if w == light[b]]
-    cost = {f: sum(light[b] for b in f) for f in _factor_multisets(k, divisors)}
+    cost = {f: sum(light[b] for b in f) for f in _factor_multisets(k, list(light))}
     top = min(cost.values())
     return min(theta(w) for w in _normal_words([f for f in cost if cost[f] == top], lightest.get))
 

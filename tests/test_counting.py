@@ -1,4 +1,5 @@
 import sys
+from argparse import Namespace
 from functools import reduce
 
 import pytest
@@ -148,7 +149,7 @@ def record_from_public_calls(n, with_poly):
 
 def test_record_matches_the_public_calls_small():
     for n in range(20001):
-        assert _record(n, True) == record_from_public_calls(n, True), n
+        assert _record(Namespace(n=n, poly=True)) == record_from_public_calls(n, True), n
 
 
 @given(st.one_of(st.integers(min_value=0, max_value=2 ** 4096), long_block_numbers()))
@@ -156,12 +157,12 @@ def test_record_matches_the_public_calls_small():
 def test_record_matches_the_public_calls_big(n):
     # the counting polynomial is pinned on the small range; at 4096 bits
     # it takes seconds
-    assert _record(n, False) == record_from_public_calls(n, False)
+    assert _record(Namespace(n=n, poly=False)) == record_from_public_calls(n, False)
 
 
 def test_record_runs_the_codec_once(codec_calls):
     n = (1 << 200) + 12345
-    rec = _record(n, True)
+    rec = _record(Namespace(n=n, poly=True))
     assert codec_calls == [n]
     assert rec["zeckendorf"] == list(zeckendorf(n))
 
