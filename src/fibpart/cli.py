@@ -51,13 +51,18 @@ _TRIAL_DIVISIONS = 1_200_000
 _OUTPUT_DIGITS = 20_000_000
 
 
+def _shown(v):
+    """An integer for a message: its digits up to 40 of them, else its bit length."""
+    return str(v) if -10 ** 40 < v < 10 ** 40 else "<%d bits>" % v.bit_length()
+
+
 def _guard(args, cost, budget, what):
     """Refuse, before any work, a command whose cost passes its budget."""
     if cost > budget:
-        named = " ".join("%s=%d" % (key.upper(), v) for key, v in vars(args).items()
+        named = " ".join("%s=%s" % (key.upper(), _shown(v)) for key, v in vars(args).items()
                          if type(v) is int)
         raise UsageError("%s %s: %s, over the budget of %d"
-                         % (args.command, named, what % cost, budget))
+                         % (args.command, named, what % _shown(cost), budget))
 
 
 def _words(n):
@@ -68,7 +73,7 @@ def _poly(args, indices, blocks, count):
     """N's counting polynomial, refused before any product when its top index
     + 1 coefficients, none above count = count_F(N), pass the output budget."""
     _guard(args, (indices[-1] + 1 if indices else 1) * len(str(count)), _OUTPUT_DIGITS,
-           "(top index + 1) * digits(count_F(N)) = %d digits")
+           "(top index + 1) * digits(count_F(N)) = %s digits")
     return counting._poly_of(blocks)
 
 
@@ -139,21 +144,21 @@ def _cmd_orbit(args):
 
 
 def _cmd_psi(args):
-    _guard(args, isqrt(args.k), _TRIAL_DIVISIONS, "isqrt(K) = %d trial divisions")
+    _guard(args, isqrt(args.k), _TRIAL_DIVISIONS, "isqrt(K) = %s trial divisions")
     print((enumeration.psi if args.command == "psi" else enumeration.psi_sigma)(args.k))
     return 0
 
 
 def _cmd_enumerate(args):
     # psi(K) >= phi(K) >= sqrt(K/2): a K this large need not be factored
-    _guard(args, isqrt(args.k // 2), _NUMBERS, "psi(K) >= sqrt(K/2) >= %d numbers")
-    _guard(args, enumeration.psi(args.k), _NUMBERS, "psi(K) = %d numbers")
+    _guard(args, isqrt(args.k // 2), _NUMBERS, "psi(K) >= sqrt(K/2) >= %s numbers")
+    _guard(args, enumeration.psi(args.k), _NUMBERS, "psi(K) = %s numbers")
     print(" ".join(str(n) for n in enumeration.list_essential(args.k)))
     return 0
 
 
 def _cmd_minimal(args):
-    _guard(args, args.k - 1, _NUMBERS, "K - 1 = %d letters")
+    _guard(args, args.k - 1, _NUMBERS, "K - 1 = %s letters")
     m = enumeration.minimal_essential(args.k)
     _emit({"k": args.k, "M": m, "word": contfrac.format_word(contfrac.word_of(m))})
     return 0
@@ -161,7 +166,7 @@ def _cmd_minimal(args):
 
 def _cmd_stability(args):
     r, k = args.r, args.k
-    _guard(args, r * k * k + r * r // 64, _DP_UNITS, "R*K^2 + R^2/64 = %d DP units")
+    _guard(args, r * k * k + r * r // 64, _DP_UNITS, "R*K^2 + R^2/64 = %s DP units")
     print(enumeration.stability_count(r, k))
     return 0
 
@@ -174,7 +179,7 @@ def _cmd_zeros(args):
 
 def _cmd_runs(args):
     _guard(args, (args.hi - args.lo - 1) * _words(args.hi), _NUMBERS,
-           "(HI - LO - 1) * words(HI) = %d numbers")
+           "(HI - LO - 1) * words(HI) = %s numbers")
     out = []
     for rep in chi_analysis._runs(args.lo, args.hi):
         d = {"start": rep.start, "length": rep.length, "kind": rep.kind}
@@ -191,7 +196,7 @@ def _cmd_hull(args):
     f, g, i = 1, 1, 0              # f_i, f_(i+1)
     while i < args.r - 1 and f < _NUMBERS:
         f, g, i = g, f + g, i + 1
-    _guard(args, f + 1, _NUMBERS, "f_(R-1) + 1 >= %d numbers")
+    _guard(args, f + 1, _NUMBERS, "f_(R-1) + 1 >= %s numbers")
     pred = chi_analysis.hull_points(args.r)
     comp = chi_analysis.computed_hull_points(args.r)
     _emit({"r": args.r,
@@ -205,7 +210,7 @@ def _cmd_plot(args):
     if args.lo > args.hi:
         raise UsageError("LO must not exceed HI")
     _guard(args, (args.hi - args.lo + 1) * _words(args.hi), _NUMBERS,
-           "(HI - LO + 1) * words(HI) = %d numbers")
+           "(HI - LO + 1) * words(HI) = %s numbers")
     out = sys.stdout
     out.write("n,F,chi\n")
     for n in range(args.lo, args.hi + 1):
@@ -215,7 +220,7 @@ def _cmd_plot(args):
 
 
 def _cmd_oracle_check(args):
-    _guard(args, args.n + 1, _BRUTE_FORCED, "N + 1 = %d brute-forced numbers")
+    _guard(args, args.n + 1, _BRUTE_FORCED, "N + 1 = %s brute-forced numbers")
     for n in range(args.n + 1):
         got = counting.fib_poly(n)
         want = oracle.brute_poly(n)

@@ -280,7 +280,17 @@ def fib_poly(n: int) -> list:
 
 
 def _count_of(blocks) -> int:
-    return prod(map(continuant, blocks))
+    """The product of the block continuants.  Up to 64 blocks it is a fold;
+    past that, runs of 64 are folded and their products multiplied by a
+    balanced tree of pairwise products, since a fold of all would multiply
+    the growing product by each small factor, quadratic in its length."""
+    if len(blocks) <= 64:
+        return prod(map(continuant, blocks))
+    factors = [prod(map(continuant, blocks[i:i + 64])) for i in range(0, len(blocks), 64)]
+    while len(factors) > 1:
+        factors = ([a * b for a, b in zip(factors[::2], factors[1::2])]
+                   + factors[len(factors) & ~1:])
+    return factors[0]
 
 
 def count_F(n: int) -> int:

@@ -179,7 +179,7 @@ def test_usage_error_exits_2(capsys):
 def test_a_200_bit_scan_is_refused_and_one_row_answers(capsys):
     n = 1 << 200
     code, out, err = run(capsys, "runs", "0", str(n))
-    assert code == 2 and not out and "HI=%d" % n in err
+    assert code == 2 and not out and "HI=<201 bits>" in err
     # one row of a 200-bit n, four 64-bit words of the budget
     code, out, _ = run(capsys, "plot", str(n), str(n))
     assert code == 0 and out.split() == ["n,F,chi", "%d,%d,%d" % (n, count_F(n), chi(n))]
@@ -369,6 +369,17 @@ def test_poly_output_past_its_budget_is_refused_at_once():
         assert proc.returncode == 2 and not proc.stdout
         assert "= 190360709 digits" in proc.stderr and "budget" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_refusal_names_a_wide_argument_by_its_bit_length():
+    with _no_digit_limit():
+        n = str(3 ** 20000)
+        k = str(10 ** 90)
+    for argv, named in ((("poly", n), "N=<31700 bits>"),
+                        (("psi", k), "K=<299 bits>: isqrt(K) = <150 bits>")):
+        proc = run_process(*argv, timeout=2)
+        assert proc.returncode == 2 and not proc.stdout
+        assert len(proc.stderr) < 300 and named in proc.stderr, proc.stderr[:300]
 
 
 def test_poly_output_inside_its_budget_answers():

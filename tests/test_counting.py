@@ -1,9 +1,10 @@
 import sys
 from argparse import Namespace
 from functools import reduce
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibpart import counting, oracle
@@ -389,3 +390,12 @@ def test_last_entry_split_identity(v):
 def test_poly_degree_bounded_by_top_index():
     for n in range(1, 2000):
         assert len(fib_poly(n)) - 1 <= mu_last(n)
+
+
+@settings(max_examples=200)
+@given(st.lists(small_vectors, max_size=300))
+@example(decompose(3 ** 20000)[1])          # 4920 blocks
+@example(decompose(fib(40000) - 1)[1])
+def test_count_of_tree_equals_the_fold(blocks):
+    # any vectors, so zero and negative continuants are in the draw too
+    assert counting._count_of(blocks) == prod(map(continuant, blocks))
